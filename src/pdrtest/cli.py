@@ -14,19 +14,11 @@ import sys
 
 import numpy as np
 
-from .dataset import BOSTON_COLUMNS, Dataset, Schema, boston_path, load_csv, prepare_boston
+from .dataset import BOSTON_SCHEMA, Dataset, Schema, boston_path, load_csv, prepare_boston
 from .errors import DataError, SingularityError
 from .lackfit import TestReport, run_test
-from .sdr import estimate_basis
-from .simulate import (
-    emit_table,
-    power_experiment,
-    read_experiment_spec,
-    render_csv,
-    render_curves,
-    render_text,
-    resolve_workers,
-)
+from .sdr import estimate_basis, ridge_ratios
+from .simulate import RENDERERS, emit_table, power_experiment, read_experiment_spec
 
 EXIT_OK = 0
 EXIT_IO = 2
@@ -49,9 +41,7 @@ def _resolve_seed(arg: int | None) -> int:
 def _load_dataset(args) -> Dataset:
     if args.preset == "boston":
         path = args.data if args.data else boston_path()
-        predictors = tuple(c for c in BOSTON_COLUMNS if c != "MEDV")
-        raw = load_csv(path, Schema(y="MEDV", x=predictors))
-        ds = prepare_boston(raw)
+        ds = prepare_boston(load_csv(path, BOSTON_SCHEMA))
     else:
         if not args.data:
             raise DataError("--data is required (or use --preset boston)")
@@ -157,8 +147,7 @@ def cmd_dim(args) -> int:
     ds = _load_dataset(args)
     basis = estimate_basis(ds, args.cn)
     lam = basis.eigenvalues
-    sq = lam**2
-    ratios = (sq[1:] + basis.ridge) / (sq[:-1] + basis.ridge)
+    ratios = ridge_ratios(lam, basis.ridge)
     config = _dataset_config(args, ds)
     config.update({"command": "dim", "c_n": basis.ridge})
     if args.format == "json":
@@ -190,15 +179,14 @@ def cmd_simulate(args) -> int:
     spec = read_experiment_spec(args.spec)
     table = power_experiment(
         spec.designs(), spec.reps, spec.mc_reps, spec.alpha, spec.seed,
-        workers=resolve_workers(args.workers),
+        workers=args.workers,
     )
     out = args.out or spec.out
-    renderer = {"csv": render_csv, "text": render_text, "curves": render_curves}[args.format]
     if out:
         emit_table(table, out, format=args.format)
         print(f"wrote {len(table.rows)} row(s) to {out}")
     else:
-        print(renderer(table), end="")
+        print(RENDERERS[args.format](table), end="")
     return EXIT_OK
 
 
@@ -239,7 +227,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_sim = sub.add_parser("simulate", help="run a size/power experiment from a spec file")
     p_sim.add_argument("--spec", required=True, help="experiment specification file")
     p_sim.add_argument("--out", help="output path (overrides 'out' from the experiment file)")
-    p_sim.add_argument("--format", choices=["csv", "text", "curves"], default="csv")
+    p_sim.add_argument("--format", choices=list(RENDERERS), default="csv")
     p_sim.add_argument("--workers", type=int, default=None,
                        help="worker processes (default: PDRTEST_WORKERS env var, or 1)")
     p_sim.set_defaults(func=cmd_simulate)

@@ -47,6 +47,11 @@ class Schema:
             raise DataError(f"schema assigns a column to more than one role: {names}")
 
 
+#: Roles of the raw Boston housing columns: MEDV is the response, the rest
+#: are read as index covariates until :func:`prepare_boston` assigns them.
+BOSTON_SCHEMA = Schema(y="MEDV", x=tuple(c for c in BOSTON_COLUMNS if c != "MEDV"))
+
+
 @dataclass
 class Dataset:
     """Aligned response and covariate arrays.
@@ -111,7 +116,6 @@ class Standardization:
 
     center: np.ndarray
     whitener: np.ndarray
-    scale_only: bool = False
 
     def apply(self, x: np.ndarray) -> np.ndarray:
         return (np.asarray(x, dtype=float) - self.center) @ self.whitener
@@ -125,8 +129,8 @@ def load_csv(path: str | Path, schema: Schema) -> Dataset:
 
     Raises:
         FileNotFoundError: missing file.
-        DataError: missing header, unknown schema column, or fewer than
-            3 usable rows.
+        DataError: missing header, unknown or repeated schema column, or
+            fewer than 3 usable rows.
     """
     path = Path(path)
     with open(path, newline="", encoding="utf-8") as fh:
@@ -140,6 +144,9 @@ def load_csv(path: str | Path, schema: Schema) -> Dataset:
         missing = [c for c in wanted if c not in header]
         if missing:
             raise DataError(f"{path}: column(s) not in header: {', '.join(missing)}")
+        repeated = [c for c in wanted if header.count(c) > 1]
+        if repeated:
+            raise DataError(f"{path}: column(s) repeated in header: {', '.join(repeated)}")
         idx = [header.index(c) for c in wanted]
 
         kept: list[list[float]] = []
@@ -256,5 +263,4 @@ def boston_path() -> Path:
 
 def load_boston() -> Dataset:
     """Load and prepare the bundled housing data in one step."""
-    schema = Schema(y="MEDV", x=tuple(c for c in BOSTON_COLUMNS if c != "MEDV"))
-    return prepare_boston(load_csv(boston_path(), schema))
+    return prepare_boston(load_csv(boston_path(), BOSTON_SCHEMA))

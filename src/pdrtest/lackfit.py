@@ -20,12 +20,6 @@ from .families import ModelFamily, get_family
 from .fit import FitResult, influence_vectors, nls_fit
 from .sdr import BasisEstimate, estimate_basis
 
-#: Above this sample size the resampling pass processes replicates in
-#: memory-bounded batches instead of one dense block.
-CHUNK_THRESHOLD = 20_000
-#: Elements per multiplier block when batching (about 256 MB of float64).
-BLOCK_ELEMENTS = 32_000_000
-
 
 @dataclass(frozen=True)
 class ProjectedSample:
@@ -159,24 +153,18 @@ def mc_pvalue(
     """Monte Carlo p-value of ``t_n`` against ``m`` multiplier replicates.
 
     Multiplier vector j comes from a substream that depends only on
-    ``(seed, j)``, so replicates can be evaluated in any order or split
-    across workers without changing the draws.  Returns the p-value and
-    the replicate statistics themselves.
+    ``(seed, j)``, so the first k replicates are the same for any
+    ``m >= k``.  Returns the p-value and the replicate statistics
+    themselves.
     """
     if m < 1:
         raise ValueError(f"need at least one replicate, got {m}")
     a = np.asarray(a, dtype=float)
     n = a.shape[0]
-    children = np.random.SeedSequence(seed).spawn(m)
-    batch = m if n <= CHUNK_THRESHOLD else max(1, BLOCK_ELEMENTS // n)
-    replicates = np.empty(m)
-    for start in range(0, m, batch):
-        stop = min(start + batch, m)
-        u = np.empty((stop - start, n))
-        for k, child in enumerate(children[start:stop]):
-            u[k] = np.random.default_rng(child).standard_normal(n)
-        delta = (u @ a) / np.sqrt(n)
-        replicates[start:stop] = np.mean(delta**2, axis=1)
+    u = np.empty((m, n))
+    for k, child in enumerate(np.random.SeedSequence(seed).spawn(m)):
+        u[k] = np.random.default_rng(child).standard_normal(n)
+    replicates = np.mean(((u @ a) / np.sqrt(n)) ** 2, axis=1)
     return pvalue_from_replicates(t_n, replicates), replicates
 
 

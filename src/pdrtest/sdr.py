@@ -110,6 +110,11 @@ def sir_candidate(z: np.ndarray, slice_label: np.ndarray) -> np.ndarray:
     return weighted.T @ means
 
 
+def _require_variation(y: np.ndarray) -> None:
+    if np.all(y == y[0]):
+        raise DataError(f"response has no variation: every value is {y[0]:g}")
+
+
 def dee_matrix(z: np.ndarray, y: np.ndarray) -> CandidateMatrix:
     """Average the binary-slicing candidate over all response thresholds.
 
@@ -123,8 +128,7 @@ def dee_matrix(z: np.ndarray, y: np.ndarray) -> CandidateMatrix:
     n = z.shape[0]
     if n < 3:
         raise DataError(f"need at least 3 rows, got {n}")
-    if np.all(y == y[0]):
-        raise DataError("response has no variation")
+    _require_variation(y)
     # the rank-one collapse below needs column sums of exactly zero
     if np.max(np.abs(z.mean(axis=0))) > 1e-6:
         raise DataError("z must be column-centered (whiten the covariates first)")
@@ -180,6 +184,7 @@ def pdee_matrix(z: np.ndarray, y: np.ndarray, w: np.ndarray) -> CandidateMatrix:
     p2 = w.shape[1]
     if p2 < 1:
         raise DataError("pdee_matrix needs at least one W column")
+    _require_variation(y)
 
     yorder = np.argsort(y, kind="stable")
     z_y = z[yorder]
@@ -212,6 +217,13 @@ def pdee_matrix(z: np.ndarray, y: np.ndarray, w: np.ndarray) -> CandidateMatrix:
     return _decompose(total / n)
 
 
+def ridge_ratios(eigenvalues: np.ndarray, c_n: float) -> np.ndarray:
+    """Ridge-regularized ratios ``(lambda_{k+1}^2 + c_n) / (lambda_k^2 + c_n)``
+    of consecutive squared eigenvalues, for ``k = 1 .. len - 1``."""
+    sq = np.asarray(eigenvalues, dtype=float) ** 2
+    return (sq[1:] + c_n) / (sq[:-1] + c_n)
+
+
 def ridge_eigenvalue_ratio(eigenvalues: np.ndarray, c_n: float) -> int:
     """Estimated rank: the minimizer of ridge-regularized ratios of
     consecutive squared eigenvalues, ties toward the smaller index.
@@ -219,17 +231,15 @@ def ridge_eigenvalue_ratio(eigenvalues: np.ndarray, c_n: float) -> int:
     lam = np.asarray(eigenvalues, dtype=float).reshape(-1)
     if lam.size == 0:
         raise ValueError("empty spectrum")
-    if c_n <= 0:
-        raise ValueError(f"ridge must be positive, got {c_n}")
+    if not (math.isfinite(c_n) and c_n > 0):
+        raise ValueError(f"ridge must be finite and positive, got {c_n}")
     if np.any(lam < 0):
         raise ValueError("eigenvalues must be nonnegative")
     if np.any(np.diff(lam) > 1e-12):
         raise ValueError("eigenvalues must be sorted descending")
     if lam.size == 1:
         return 1
-    sq = lam**2
-    ratios = (sq[1:] + c_n) / (sq[:-1] + c_n)
-    return int(np.argmin(ratios)) + 1
+    return int(np.argmin(ridge_ratios(lam, c_n))) + 1
 
 
 def default_ridge(n: int) -> float:

@@ -29,8 +29,6 @@ from .lackfit import run_test
 
 logger = logging.getLogger(__name__)
 
-CASES = ("ex1", "ex2", "ex3", "ex4", "ex5c1", "ex5c2", "ex5c3", "ex5c4")
-
 #: Environment variable controlling the worker-pool size.
 WORKERS_ENV = "PDRTEST_WORKERS"
 
@@ -66,22 +64,33 @@ class SimDesign:
 
 
 _CASE_TABLE = {
-    # case: (p1, p2, beta0, beta1, rho, error, null family)
-    "ex1": (4, 0, (0, 0, 1, 1), None, 0.0, "normal", "linear"),
-    "ex2": (4, 0, (1, 1, 0, 0), (0, 0, 1, 1), 0.0, "normal", "linear"),
-    "ex3": (8, 0, (1, 1, 1, 1, 0, 0, 0, 0), (0, 0, 0, 0, 1, 1, 1, 1), 0.0, "normal", "linear"),
-    "ex4": (4, 0, (1, 1, -1, -1), None, 0.5, "t4", "linear"),
-    "ex5c1": (4, 1, (0, 0, 1, 1), None, 0.0, "normal", "linear+w"),
-    "ex5c2": (4, 1, (1, 1, 0, 0), (0, 0, 1, 1), 0.0, "normal", "linear+sinw"),
-    "ex5c3": (8, 1, (1, 1, 1, 1, 0, 0, 0, 0), (0, 0, 0, 0, 1, 1, 1, 1), 0.0, "normal", "linear+cosw"),
-    "ex5c4": (4, 1, (1, 1, -1, -1), None, 0.5, "t4", "linear+sinw"),
+    # case: (p1, p2, beta0, beta1, rho, error, null family,
+    #        base mean of (u0, w), departure of (u0, u1, w))
+    "ex1": (4, 0, (0, 0, 1, 1), None, 0.0, "normal", "linear",
+            lambda u0, w: u0, lambda u0, u1, w: np.cos(0.6 * np.pi * u0)),
+    "ex2": (4, 0, (1, 1, 0, 0), (0, 0, 1, 1), 0.0, "normal", "linear",
+            lambda u0, w: u0, lambda u0, u1, w: 0.125 * np.exp(0.3 * u1)),
+    "ex3": (8, 0, (1, 1, 1, 1, 0, 0, 0, 0), (0, 0, 0, 0, 1, 1, 1, 1), 0.0, "normal", "linear",
+            lambda u0, w: u0, lambda u0, u1, w: 0.3 * u1**3 + 0.3 * u1**2),
+    "ex4": (4, 0, (1, 1, -1, -1), None, 0.5, "t4", "linear",
+            lambda u0, w: u0, lambda u0, u1, w: np.exp(-(u0**2) / 2.0) / 2.0),
+    "ex5c1": (4, 1, (0, 0, 1, 1), None, 0.0, "normal", "linear+w",
+              lambda u0, w: u0 + w, lambda u0, u1, w: np.cos(0.6 * np.pi * u0)),
+    "ex5c2": (4, 1, (1, 1, 0, 0), (0, 0, 1, 1), 0.0, "normal", "linear+sinw",
+              lambda u0, w: u0 + np.sin(w), lambda u0, u1, w: 0.5 * u1**2 + 2.0 * np.sin(w)),
+    "ex5c3": (8, 1, (1, 1, 1, 1, 0, 0, 0, 0), (0, 0, 0, 0, 1, 1, 1, 1), 0.0, "normal", "linear+cosw",
+              lambda u0, w: u0 + np.cos(w), lambda u0, u1, w: 0.3 * u1**3 + 0.3 * u1**2),
+    "ex5c4": (4, 1, (1, 1, -1, -1), None, 0.5, "t4", "linear+sinw",
+              lambda u0, w: u0 + np.sin(w), lambda u0, u1, w: np.exp(-(u0**2) / 2.0) * w),
 }
+
+CASES = tuple(_CASE_TABLE)
 
 
 def design(case_id: str, n: int, a: float) -> SimDesign:
     """Fill in the fixed parameters of a named design."""
     try:
-        p1, p2, b0, b1, rho, err, fam = _CASE_TABLE[case_id]
+        p1, p2, b0, b1, rho, err, fam, _, _ = _CASE_TABLE[case_id]
     except KeyError:
         raise DataError(f"unknown case id {case_id!r}; known: {', '.join(CASES)}") from None
     unit = lambda v: np.asarray(v, dtype=float) / np.linalg.norm(v)
@@ -99,34 +108,6 @@ def design(case_id: str, n: int, a: float) -> SimDesign:
     )
 
 
-def _departure(case_id: str, u0: np.ndarray, u1: np.ndarray | None, w: np.ndarray | None):
-    if case_id in ("ex1", "ex5c1"):
-        return np.cos(0.6 * np.pi * u0)
-    if case_id == "ex2":
-        return 0.125 * np.exp(0.3 * u1)
-    if case_id in ("ex3", "ex5c3"):
-        return 0.3 * u1**3 + 0.3 * u1**2
-    if case_id == "ex4":
-        return np.exp(-(u0**2) / 2.0) / 2.0
-    if case_id == "ex5c2":
-        return 0.5 * u1**2 + 2.0 * np.sin(w)
-    if case_id == "ex5c4":
-        return np.exp(-(u0**2) / 2.0) * w
-    raise DataError(f"unknown case id {case_id!r}")
-
-
-def _base_mean(case_id: str, u0: np.ndarray, w: np.ndarray | None):
-    if case_id in ("ex1", "ex2", "ex3", "ex4"):
-        return u0
-    if case_id == "ex5c1":
-        return u0 + w
-    if case_id in ("ex5c2", "ex5c4"):
-        return u0 + np.sin(w)
-    if case_id == "ex5c3":
-        return u0 + np.cos(w)
-    raise DataError(f"unknown case id {case_id!r}")
-
-
 def generate(dsg: SimDesign, rng: np.random.Generator) -> Dataset:
     """Draw one dataset from the design's generating process."""
     n, p1 = dsg.n, dsg.p1
@@ -140,7 +121,8 @@ def generate(dsg: SimDesign, rng: np.random.Generator) -> Dataset:
 
     u0 = x @ dsg.beta0
     u1 = None if dsg.beta1 is None else x @ dsg.beta1
-    y = _base_mean(dsg.case_id, u0, w_col) + dsg.a * _departure(dsg.case_id, u0, u1, w_col) + 0.5 * eps
+    *_, base_mean, departure = _CASE_TABLE[dsg.case_id]
+    y = base_mean(u0, w_col) + dsg.a * departure(u0, u1, w_col) + 0.5 * eps
 
     w = np.empty((n, 0)) if w_col is None else w_col.reshape(-1, 1)
     schema = Schema(
@@ -288,7 +270,8 @@ def render_curves(table: PowerTable) -> str:
     return buf.getvalue()
 
 
-_RENDERERS = {"csv": render_csv, "text": render_text, "curves": render_curves}
+#: Table renderings by format name.
+RENDERERS = {"csv": render_csv, "text": render_text, "curves": render_curves}
 
 
 def emit_table(table: PowerTable, path: str | Path, format: str = "csv") -> Path:
@@ -296,9 +279,9 @@ def emit_table(table: PowerTable, path: str | Path, format: str = "csv") -> Path
     if not table.rows:
         raise ValueError("table is empty")
     try:
-        rendered = _RENDERERS[format](table)
+        rendered = RENDERERS[format](table)
     except KeyError:
-        raise ValueError(f"unknown format {format!r}; use one of {sorted(_RENDERERS)}") from None
+        raise ValueError(f"unknown format {format!r}; use one of {sorted(RENDERERS)}") from None
     path = Path(path)
     path.write_text(rendered, encoding="utf-8")
     return path

@@ -135,6 +135,12 @@ class TestCmdDim:
         assert record["c_n"] == 0.5
         assert record["q_hat"] == 1
 
+    def test_non_finite_ridge_is_data_error(self, capsys):
+        for value in ("nan", "inf"):
+            assert main(["dim", "--preset", "boston", "--cn", value,
+                         "--format", "json"]) == EXIT_DATA
+            assert f"got {value}" in capsys.readouterr().err
+
     def test_single_column_always_one(self, tmp_path, capsys):
         rng = np.random.default_rng(32)
         path = tmp_path / "one.csv"

@@ -61,6 +61,11 @@ class TestLoadCsv:
         with pytest.raises(DataError, match="x9"):
             load_csv(path, Schema(y="y", x=("x9",)))
 
+    def test_repeated_column_named(self, write_csv):
+        path = write_csv("t.csv", ["y", "x1", "x1"], [[1, 2, 3], [4, 5, 6], [7, 8, 9]])
+        with pytest.raises(DataError, match="repeated in header: x1"):
+            load_csv(path, Schema(y="y", x=("x1",)))
+
     def test_zero_usable_rows(self, write_csv):
         path = write_csv("t.csv", ["y", "x1"], [["a", "b"], ["c", "d"]])
         with pytest.raises(DataError, match="no usable rows"):

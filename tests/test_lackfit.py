@@ -244,19 +244,15 @@ class TestMcPvalue:
         np.testing.assert_array_equal(r1, r2)
         assert not np.array_equal(r1, r3)
 
-    def test_batched_evaluation_matches_dense(self, monkeypatch):
-        # per-replicate substreams keep the draws identical under batching;
-        # the products themselves may differ in the last ulp because BLAS
-        # reduction order depends on the block shape
-        import pdrtest.lackfit as lackfit
-
+    def test_replicate_depends_only_on_seed_and_index(self):
         a = np.random.default_rng(22).standard_normal((30, 30))
-        p_dense, r_dense = mc_pvalue(0.5, a, m=25, seed=4)
-        monkeypatch.setattr(lackfit, "CHUNK_THRESHOLD", 10)
-        monkeypatch.setattr(lackfit, "BLOCK_ELEMENTS", 4 * 30)
-        p_batched, r_batched = mc_pvalue(0.5, a, m=25, seed=4)
-        assert p_batched == p_dense
-        np.testing.assert_allclose(r_batched, r_dense, rtol=1e-10)
+        _, r10 = mc_pvalue(0.5, a, m=10, seed=4)
+        _, r25 = mc_pvalue(0.5, a, m=25, seed=4)
+        np.testing.assert_allclose(r10, r25[:10], rtol=1e-12)
+        children = np.random.SeedSequence(4).spawn(25)
+        for j in range(10):
+            u = np.random.default_rng(children[j]).standard_normal(30)
+            assert r10[j] == pytest.approx(mc_replicate(a, u), rel=1e-12)
 
     @given(st.floats(1e-6, 1e6))
     @settings(max_examples=100, deadline=None)

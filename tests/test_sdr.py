@@ -86,6 +86,9 @@ class TestDeeMatrix:
         z = np.random.default_rng(2).standard_normal((10, 2))
         with pytest.raises(DataError, match="no variation"):
             dee_matrix(z, np.ones(10))
+        w = np.random.default_rng(3).standard_normal((10, 1))
+        with pytest.raises(DataError, match="no variation"):
+            pdee_matrix(z, np.ones(10), w)
 
     def test_average_of_binary_slicings(self):
         # independent oracle: average sir_candidate over every threshold,
@@ -207,8 +210,9 @@ class TestRidgeRatio:
         assert ridge_eigenvalue_ratio(np.zeros(5), 0.05) == 1
 
     def test_requires_positive_ridge(self):
-        with pytest.raises(ValueError, match="ridge"):
-            ridge_eigenvalue_ratio(np.array([1.0, 0.0]), 0.0)
+        for c_n in (0.0, np.nan, np.inf):
+            with pytest.raises(ValueError, match="ridge"):
+                ridge_eigenvalue_ratio(np.array([1.0, 0.0]), c_n)
 
     def test_requires_descending(self):
         with pytest.raises(ValueError, match="descending"):
