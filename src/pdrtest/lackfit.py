@@ -16,6 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dataset import Dataset
+from .errors import DataError
 from .families import ModelFamily, get_family
 from .fit import FitResult, influence_vectors, nls_fit
 from .sdr import BasisEstimate, estimate_basis
@@ -190,6 +191,8 @@ def run_test(
     """Full pipeline: direction estimate, least-squares fit, statistic,
     multiplier resampling, decision.  Deterministic given ``seed``.
     """
+    if seed < 0:
+        raise DataError(f"seed must be a non-negative integer, got {seed}")
     if not 0.0 < alpha < 1.0:
         raise ValueError(f"alpha must be in (0, 1), got {alpha}")
     if isinstance(family, str):

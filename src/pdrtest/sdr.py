@@ -147,6 +147,14 @@ def dee_matrix(z: np.ndarray, y: np.ndarray) -> CandidateMatrix:
     return _decompose((s * weights[:, None]).T @ s)
 
 
+def _slice_counts(sizes: np.ndarray) -> np.ndarray:
+    """Response slices per cell of each size (cells below ``MIN_CELL`` are
+    skipped by the callers)."""
+    sizes = np.asarray(sizes)
+    wide = np.minimum(MAX_SLICES, sizes // SLICE_OCCUPANCY)
+    return np.where(sizes >= 2 * SLICE_OCCUPANCY, wide, 2)
+
+
 def _cell_slice_matrix(z_cell: np.ndarray) -> np.ndarray | None:
     """Within-cell slice-mean covariance, rows already ordered by response.
 
@@ -155,15 +163,120 @@ def _cell_slice_matrix(z_cell: np.ndarray) -> np.ndarray | None:
     s = z_cell.shape[0]
     if s < MIN_CELL:
         return None
-    if s >= 2 * SLICE_OCCUPANCY:
-        h = min(MAX_SLICES, s // SLICE_OCCUPANCY)
-    else:
-        h = 2
+    h = int(_slice_counts(s))
     bounds = (np.arange(h) * s) // h
     counts = np.diff(np.r_[bounds, s])
     means = np.add.reduceat(z_cell, bounds, axis=0) / counts[:, None]
     centered = means - z_cell.mean(axis=0)
     return (centered * (counts / s)[:, None]).T @ centered
+
+
+def order_statistic_sums(
+    ranks: np.ndarray,
+    weights: np.ndarray,
+    lo: np.ndarray,
+    hi: np.ndarray,
+    count: np.ndarray,
+) -> np.ndarray:
+    """For each query ``q``, the sum of ``weights[i]`` over the ``count[q]``
+    positions ``i`` in ``[lo[q], hi[q])`` with the smallest ``ranks[i]``.
+
+    ``ranks`` are distinct nonnegative integers; ``weights`` is ``(n, p)``;
+    ``0 <= count[q] <= hi[q] - lo[q]``.  All queries descend one wavelet
+    matrix over ``ranks`` together, one bit of the ranks per level, so the
+    cost is ``O((n + Q) p log n)``.  At each level a range splits into its
+    zero-bit rows (moved, in order, to the front of the next level) and its
+    one-bit rows; a query needing more rows than the zero-bit part holds
+    takes that whole part from the next level's prefix sums and continues
+    among the one-bit rows.  Returns a ``(Q, p)`` array.
+    """
+    vals = np.asarray(ranks, dtype=np.int64).reshape(-1)
+    wts = np.asarray(weights, dtype=float)
+    n, p = wts.shape
+    lo = np.asarray(lo, dtype=np.int64).reshape(-1)
+    hi = np.asarray(hi, dtype=np.int64).reshape(-1)
+    count = np.array(count, dtype=np.int64).reshape(-1)  # updated in place
+    out = np.zeros((lo.size, p))
+    prefix = np.zeros((n + 1, p))
+    np.cumsum(wts, axis=0, out=prefix[1:])
+    bits = int(vals.max()).bit_length() if n else 0
+    for shift in range(bits - 1, -1, -1):
+        is_zero = ((vals >> shift) & 1) == 0
+        zeros_before = np.r_[0, np.cumsum(is_zero)]
+        order = np.r_[np.flatnonzero(is_zero), np.flatnonzero(~is_zero)]
+        vals, wts = vals[order], wts.take(order, axis=0)
+        np.cumsum(wts, axis=0, out=prefix[1:])
+        z_lo, z_hi = zeros_before.take(lo), zeros_before.take(hi)
+        right = count > z_hi - z_lo
+        # take() rather than fancy indexing: several times faster on rows
+        out += prefix.take(z_hi * right, axis=0) - prefix.take(z_lo * right, axis=0)
+        count -= (z_hi - z_lo) * right
+        n_zero = zeros_before[-1]
+        lo = np.where(right, n_zero + lo - z_lo, z_lo)
+        hi = np.where(right, n_zero + hi - z_hi, z_hi)
+    # every row left in [lo, hi) has the same rank, so count is 0 or 1 there
+    return out + prefix.take(lo + count, axis=0) - prefix.take(lo, axis=0)
+
+
+def _one_column_total(z: np.ndarray, y: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """Unnormalized candidate sum over all thresholds of a single W column.
+
+    Rows are sorted by W, so each threshold's lower cell is a prefix
+    ``[0, k)`` and its upper cell the rest.  Slice boundaries inside a cell
+    are order statistics of the response ranks, answered for every cell at
+    once by ``order_statistic_sums``.
+    """
+    n, p1 = z.shape
+    y_rank = np.empty(n, dtype=np.int64)
+    y_rank[np.argsort(y, kind="stable")] = np.arange(n)
+    w_order = np.argsort(w, kind="stable")
+    w_sorted = w[w_order]
+    z_w = z[w_order]
+    ranks = y_rank[w_order]
+    prefix = np.zeros((n + 1, p1))
+    np.cumsum(z_w, axis=0, out=prefix[1:])
+
+    # threshold j: lower cell [0, k_j), upper cell [k_j, n)
+    k = np.flatnonzero(np.r_[w_sorted[1:] != w_sorted[:-1], True]) + 1
+    t_count = np.diff(np.r_[0, k])
+    cell_lo = np.r_[np.zeros_like(k), k]
+    cell_size = np.r_[k, n - k]
+    cell_t = np.tile(np.arange(k.size), 2)
+    keep = cell_size >= MIN_CELL
+    if not keep.any():
+        raise DataError("W discretization produced no usable cells")
+    cell_lo, cell_size, cell_t = cell_lo[keep], cell_size[keep], cell_t[keep]
+    used = np.bincount(cell_t, weights=cell_size, minlength=k.size)
+    cell_sum = prefix[cell_lo + cell_size] - prefix[cell_lo]
+
+    # one row per slice: its cell, its index j inside the cell, its bounds
+    h = _slice_counts(cell_size)
+    cell = np.repeat(np.arange(cell_size.size), h)
+    first = np.r_[0, np.cumsum(h)[:-1]]
+    j = np.arange(cell.size) - first[cell]
+    s, hc = cell_size[cell], h[cell]
+    lower = (j * s) // hc
+    upper = ((j + 1) * s) // hc
+
+    # response-ordered prefix sums at each slice's upper bound; the last
+    # slice of a cell ends at the cell sum, the first starts at zero
+    last = j == hc - 1
+    below_upper = cell_sum.take(cell, axis=0)
+    inner = ~last
+    lo_q = cell_lo[cell[inner]]
+    below_upper[inner] = order_statistic_sums(
+        ranks, z_w, lo_q, lo_q + s[inner], upper[inner]
+    )
+    below_lower = np.zeros_like(below_upper)
+    below_lower[1:] = below_upper[:-1]
+    below_lower[j == 0] = 0.0
+
+    counts = upper - lower
+    cell_mean = cell_sum / cell_size[:, None]
+    centered = (below_upper - below_lower) / counts[:, None] - cell_mean.take(cell, axis=0)
+    t = cell_t[cell]
+    weight = counts * t_count[t] / used[t]
+    return (centered * weight[:, None]).T @ centered
 
 
 def pdee_matrix(z: np.ndarray, y: np.ndarray, w: np.ndarray) -> CandidateMatrix:
@@ -173,7 +286,15 @@ def pdee_matrix(z: np.ndarray, y: np.ndarray, w: np.ndarray) -> CandidateMatrix:
     rows fall into up to ``2^p2`` cells.  Within every sufficiently large
     cell the response is sliced into equal-frequency groups and the
     cell-centered slice-mean covariance is formed; cells combine weighted
-    by size, renormalized over the usable ones.
+    by size, renormalized over the usable ones.  Tied responses are split
+    in input order (a stable sort), so with ties the result depends on the
+    row order.
+
+    With one W column the thresholds are handled all at once in
+    ``O(n log n)``: after sorting by W every cell is a prefix or a suffix,
+    and each slice sum is a sum of ``z`` over the rows of smallest response
+    rank in a range, read from one wavelet matrix (``order_statistic_sums``).  With two or
+    more columns each threshold is sliced on its own, ``O(n^2 log n)``.
     """
     z = np.atleast_2d(np.asarray(z, dtype=float))
     y = np.asarray(y, dtype=float).reshape(-1)
@@ -184,7 +305,11 @@ def pdee_matrix(z: np.ndarray, y: np.ndarray, w: np.ndarray) -> CandidateMatrix:
     p2 = w.shape[1]
     if p2 < 1:
         raise DataError("pdee_matrix needs at least one W column")
+    if y.shape[0] != n or w.shape[0] != n:
+        raise DataError(f"row mismatch: z has {n}, y has {y.shape[0]}, w has {w.shape[0]}")
     _require_variation(y)
+    if p2 == 1:
+        return _decompose(_one_column_total(z, y, w[:, 0]) / n)
 
     yorder = np.argsort(y, kind="stable")
     z_y = z[yorder]

@@ -369,4 +369,6 @@ def read_experiment_spec(path: str | Path) -> ExperimentSpec:
         raise DataError(f"{path}: alpha must be in (0, 1), got {spec.alpha}")
     if spec.reps < 1 or spec.mc_reps < 1:
         raise DataError(f"{path}: reps and mc_reps must be positive")
+    if spec.seed < 0:
+        raise DataError(f"{path}: seed must be a non-negative integer, got {spec.seed}")
     return spec

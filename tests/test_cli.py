@@ -10,7 +10,7 @@ import sys
 import numpy as np
 import pytest
 
-from pdrtest import design, generate
+from pdrtest import design, generate, lackfit
 from pdrtest.cli import EXIT_DATA, EXIT_IO, EXIT_OK, main
 
 
@@ -96,6 +96,16 @@ class TestCmdTest:
         code = main(["test", "--data", ex1_file, "--y", "y", "--x", "x1,x2,x3,x4",
                      "--mc-reps", "0", "--seed", "1"])
         assert code == EXIT_DATA
+
+    def test_negative_seed_named_before_fitting(self, ex1_file, capsys, monkeypatch):
+        def fail(*args, **kwargs):
+            raise AssertionError("basis estimated before the seed was checked")
+
+        monkeypatch.setattr(lackfit, "estimate_basis", fail)
+        code = main(["test", "--data", ex1_file, "--y", "y", "--x", "x1,x2,x3,x4",
+                     "--mc-reps", "20", "--seed", "-1"])
+        assert code == EXIT_DATA
+        assert "seed must be a non-negative integer, got -1" in capsys.readouterr().err
 
     def test_bad_worker_env_is_config_error(self, tmp_path, capsys, monkeypatch):
         monkeypatch.setenv("PDRTEST_WORKERS", "many")

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -19,6 +21,7 @@ from pdrtest import (
     sir_candidate,
     standardize,
 )
+from pdrtest.sdr import MAX_SLICES, MIN_CELL, SLICE_OCCUPANCY, order_statistic_sums
 
 BETA_EX1 = np.array([0.0, 0.0, 1.0, 1.0]) / np.sqrt(2.0)
 
@@ -38,6 +41,24 @@ def slice_matrix_oracle(z, labels):
             for b in range(p):
                 out[a, b] += (len(members) / n) * zbar[a] * zbar[b]
     return out
+
+
+def assert_one_column_path_matches_loop(z, y, w):
+    """The one-column path of ``pdee_matrix`` against its per-threshold loop.
+
+    A constant second W column cuts the same cells, and with two columns
+    ``pdee_matrix`` slices each threshold on its own.
+    """
+    w = np.asarray(w, dtype=float).reshape(-1)
+    try:
+        expected = pdee_matrix(z, y, np.column_stack([w, np.zeros_like(w)])).m
+    except DataError as exc:
+        with pytest.raises(DataError) as info:
+            pdee_matrix(z, y, w[:, None])
+        assert str(info.value) == str(exc)
+        return
+    got = pdee_matrix(z, y, w[:, None]).m
+    np.testing.assert_allclose(got, expected, rtol=0, atol=1e-12 * np.abs(expected).max())
 
 
 class TestSirCandidate:
@@ -189,10 +210,109 @@ class TestPdeeMatrix:
         assert cand.eigenvalues.min() >= 0.0
         assert np.trace(cand.m) <= 3 + 1e-6
 
+    @given(
+        n=st.integers(3, 80),
+        p1=st.integers(1, 4),
+        y_digits=st.integers(0, 2),
+        w_kind=st.sampled_from(["continuous", "rounded", "few", "constant"]),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_one_column_path_matches_loop(self, n, p1, y_digits, w_kind, seed):
+        rng = np.random.default_rng(seed)
+        z = rng.standard_normal((n, p1))
+        y = np.round(rng.standard_normal(n), y_digits)  # ties at every level
+        w = {
+            "continuous": lambda: rng.standard_normal(n),
+            "rounded": lambda: np.round(rng.standard_normal(n), 1),
+            "few": lambda: rng.integers(0, 4, n).astype(float),
+            "constant": lambda: np.full(n, 1.5),
+        }[w_kind]()
+        assert_one_column_path_matches_loop(z, y, w)
+
+    @pytest.mark.parametrize(
+        "size",
+        [
+            MIN_CELL - 1,
+            MIN_CELL,
+            2 * SLICE_OCCUPANCY - 1,
+            2 * SLICE_OCCUPANCY,
+            SLICE_OCCUPANCY * MAX_SLICES - 1,
+            SLICE_OCCUPANCY * MAX_SLICES,
+            SLICE_OCCUPANCY * MAX_SLICES + 1,
+        ],
+    )
+    def test_one_column_path_at_cell_size_edges(self, size):
+        # two W levels: cells of exactly `size` and `size + 1` rows
+        rng = np.random.default_rng(size)
+        n = 2 * size + 1
+        z = rng.standard_normal((n, 3))
+        y = np.round(rng.standard_normal(n), 1)
+        w = rng.permutation((np.arange(n) >= size).astype(float))
+        assert_one_column_path_matches_loop(z, y, w)
+
+    def test_one_column_path_over_every_cell_size(self):
+        # distinct W: the thresholds cut cells of every size 1 .. n - 1
+        rng = np.random.default_rng(20)
+        n = SLICE_OCCUPANCY * MAX_SLICES + 2
+        z = rng.standard_normal((n, 2))
+        assert_one_column_path_matches_loop(z, rng.standard_normal(n), rng.standard_normal(n))
+
+    def test_one_column_path_matches_loop_on_boston(self, boston):
+        z, _ = standardize(boston.x)
+        assert_one_column_path_matches_loop(z, boston.y, boston.w)
+
+    def test_one_column_path_scales(self):
+        # the loop is O(n^2 log n), and an n x n boolean would be 400 MB here
+        rng = np.random.default_rng(21)
+        n = 20_000
+        z, _ = standardize(rng.standard_normal((n, 4)))
+        y = z[:, 0] + 0.5 * rng.standard_normal(n)
+        w = np.round(rng.standard_normal(n), 2)
+        tracemalloc.start()
+        try:
+            cand = pdee_matrix(z, y, w)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 200e6
+        assert abs(cand.eigenvectors[0, 0]) > 0.99
+
     def test_all_cells_undersized_rejected(self):
         z = np.array([[1.0], [-1.0], [0.5]])
         with pytest.raises(DataError, match="no usable cells"):
             pdee_matrix(z, np.array([1.0, 2.0, 3.0]), np.array([[0.0], [1.0], [2.0]]))
+
+
+class TestOrderStatisticSums:
+    @given(
+        n=st.integers(0, 60),
+        p=st.integers(1, 3),
+        q=st.integers(3, 30),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_matches_sorting_the_range(self, n, p, q, seed):
+        rng = np.random.default_rng(seed)
+        ranks = rng.choice(2 * n + 1, size=n, replace=False)  # distinct, with gaps
+        weights = rng.standard_normal((n, p))
+        lo = rng.integers(0, n + 1, size=q)
+        hi = rng.integers(lo, n + 1)
+        count = rng.integers(0, hi - lo + 1)
+        count[0] = 0
+        count[1] = hi[1] - lo[1]
+        hi[2] = lo[2]
+        count[2] = 0
+        before = count.copy()
+
+        got = order_statistic_sums(ranks, weights, lo, hi, count)
+
+        expected = np.zeros((q, p))
+        for k in range(q):
+            smallest = lo[k] + np.argsort(ranks[lo[k] : hi[k]])[: count[k]]
+            expected[k] = weights[smallest].sum(axis=0)
+        np.testing.assert_allclose(got, expected, rtol=1e-12, atol=1e-12)
+        np.testing.assert_array_equal(count, before)
 
 
 class TestRidgeRatio:

@@ -256,3 +256,11 @@ class TestExperimentSpec:
         )
         with pytest.raises(DataError, match="bogus"):
             read_experiment_spec(path)
+
+    def test_negative_seed_names_file_and_value(self, tmp_path):
+        path = self._write(
+            tmp_path,
+            "case = ex1\nn = 50\na = 0\nreps = 5\nmc_reps = 5\nalpha = 0.05\nseed = -3\n",
+        )
+        with pytest.raises(DataError, match="exp.txt: seed must be a non-negative integer, got -3"):
+            read_experiment_spec(path)
