@@ -43,7 +43,6 @@ from .sdr import (
     estimate_basis,
     pdee_matrix,
     ridge_eigenvalue_ratio,
-    sir_candidate,
 )
 from .simulate import (
     CASES,
@@ -105,7 +104,6 @@ __all__ = [
     "rho_matrix",
     "ridge_eigenvalue_ratio",
     "run_test",
-    "sir_candidate",
     "standardize",
     "tn_statistic",
 ]

@@ -16,8 +16,8 @@ import numpy as np
 
 from .dataset import BOSTON_SCHEMA, Dataset, Schema, boston_path, load_csv, prepare_boston
 from .errors import DataError, SingularityError
-from .lackfit import TestReport, run_test
-from .sdr import estimate_basis, ridge_ratios
+from .lackfit import run_test
+from .sdr import estimate_basis
 from .simulate import RENDERERS, emit_table, power_experiment, read_experiment_spec
 
 EXIT_OK = 0
@@ -80,51 +80,15 @@ def _emit(text: str, out: str | None) -> None:
         print(text, end="" if text.endswith("\n") else "\n")
 
 
-def _report_text(report: TestReport, config: dict) -> str:
-    lines = [
-        f"t_n        = {report.t_n!r}",
-        f"p_hat      = {report.p_hat!r}",
-        f"q_hat      = {report.q_hat}",
-        f"alpha      = {report.alpha!r}",
-        f"decision   = {'reject' if report.reject else 'fail to reject'}",
-        f"m          = {report.m}",
-        f"c_n        = {report.c_n!r}",
-        f"seed       = {report.seed}",
-        f"converged  = {report.fit.converged}",
-        f"eigenvalues = {[float(v) for v in report.eigenvalues]!r}",
-    ]
-    for j, col in enumerate(report.b.T, start=1):
-        lines.append(f"b[{j}]       = {[float(v) for v in col]!r}")
-    lines.append(
-        "mc         = "
-        f"count {report.mc_stats.count}, min {report.mc_stats.minimum!r}, "
-        f"median {report.mc_stats.median!r}, max {report.mc_stats.maximum!r}"
+def _render(record: dict, fmt: str) -> str:
+    """The record as indented JSON, or as text: one aligned
+    ``key = <JSON value>`` line per key.  Both list the keys in sorted order."""
+    if fmt == "json":
+        return json.dumps(record, sort_keys=True, indent=2) + "\n"
+    width = max(map(len, record))
+    return "".join(
+        f"{key:<{width}} = {json.dumps(record[key], sort_keys=True)}\n" for key in sorted(record)
     )
-    if report.fit_warning:
-        lines.append("warning    = fit did not converge")
-    lines.append("config     = " + json.dumps(config, sort_keys=True))
-    return "\n".join(lines) + "\n"
-
-
-def _report_json(report: TestReport, config: dict) -> str:
-    record = report.to_record()
-    record.update(
-        {
-            "alpha": report.alpha,
-            "reject": report.reject,
-            "c_n": report.c_n,
-            "family": report.family,
-            "fit_warning": report.fit_warning,
-            "mc": {
-                "count": report.mc_stats.count,
-                "min": report.mc_stats.minimum,
-                "median": report.mc_stats.median,
-                "max": report.mc_stats.maximum,
-            },
-            "config": config,
-        }
-    )
-    return json.dumps(record, sort_keys=True, indent=2) + "\n"
 
 
 def cmd_test(args) -> int:
@@ -138,40 +102,16 @@ def cmd_test(args) -> int:
         {"command": "test", "family": args.family, "m": args.mc_reps,
          "c_n": report.c_n, "alpha": args.alpha, "seed": seed}
     )
-    text = _report_json(report, config) if args.format == "json" else _report_text(report, config)
-    _emit(text, args.out)
+    _emit(_render({**report.to_record(), "config": config}, args.format), args.out)
     return EXIT_OK
 
 
 def cmd_dim(args) -> int:
     ds = _load_dataset(args)
     basis = estimate_basis(ds, args.cn)
-    lam = basis.eigenvalues
-    ratios = ridge_ratios(lam, basis.ridge)
     config = _dataset_config(args, ds)
     config.update({"command": "dim", "c_n": basis.ridge})
-    if args.format == "json":
-        record = {
-            "q_hat": basis.q_hat,
-            "eigenvalues": [float(v) for v in lam],
-            "ridge_ratios": [float(v) for v in ratios],
-            "c_n": basis.ridge,
-            "b_columns": [[float(v) for v in col] for col in basis.b.T],
-            "config": config,
-        }
-        text = json.dumps(record, sort_keys=True, indent=2) + "\n"
-    else:
-        lines = [
-            f"q_hat       = {basis.q_hat}",
-            f"c_n         = {basis.ridge!r}",
-            f"eigenvalues = {[float(v) for v in lam]!r}",
-            f"ridge_ratios = {[float(v) for v in ratios]!r}",
-        ]
-        for j, col in enumerate(basis.b.T, start=1):
-            lines.append(f"b[{j}]        = {[float(v) for v in col]!r}")
-        lines.append("config      = " + json.dumps(config, sort_keys=True))
-        text = "\n".join(lines) + "\n"
-    _emit(text, args.out)
+    _emit(_render({**basis.to_record(), "config": config}, args.format), args.out)
     return EXIT_OK
 
 
@@ -229,7 +169,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_sim.add_argument("--out", help="output path (overrides 'out' from the experiment file)")
     p_sim.add_argument("--format", choices=list(RENDERERS), default="csv")
     p_sim.add_argument("--workers", type=int, default=None,
-                       help="worker processes (default: PDRTEST_WORKERS env var, or 1)")
+                       help="worker processes (default 1)")
     p_sim.set_defaults(func=cmd_simulate)
     return parser
 

@@ -117,9 +117,6 @@ class Standardization:
     center: np.ndarray
     whitener: np.ndarray
 
-    def apply(self, x: np.ndarray) -> np.ndarray:
-        return (np.asarray(x, dtype=float) - self.center) @ self.whitener
-
 
 def load_csv(path: str | Path, schema: Schema) -> Dataset:
     """Load a headered CSV, keeping only schema columns and fully numeric rows.

@@ -65,19 +65,29 @@ class TestReport:
     alpha: float
     seed: int
     reject: bool
-    fit_warning: bool
 
     def to_record(self) -> dict:
-        """Flat machine-readable record of the run."""
+        """Machine-readable record of the run: every value a report prints."""
         return {
             "t_n": self.t_n,
             "p_hat": self.p_hat,
             "q_hat": self.q_hat,
             "m": self.m,
             "seed": self.seed,
+            "alpha": self.alpha,
+            "reject": self.reject,
+            "c_n": self.c_n,
+            "family": self.family,
             "converged": self.fit.converged,
-            "eigenvalues": [float(v) for v in self.eigenvalues],
-            "b_columns": [[float(v) for v in col] for col in self.b.T],
+            "fit_warning": not self.fit.converged,
+            "eigenvalues": self.eigenvalues.tolist(),
+            "b_columns": self.b.T.tolist(),
+            "mc": {
+                "count": self.mc_stats.count,
+                "min": self.mc_stats.minimum,
+                "median": self.mc_stats.median,
+                "max": self.mc_stats.maximum,
+            },
         }
 
 
@@ -218,5 +228,4 @@ def run_test(
         alpha=alpha,
         seed=seed,
         reject=bool(p_hat <= alpha),
-        fit_warning=not fit.converged,
     )

@@ -60,6 +60,16 @@ class BasisEstimate:
     eigenvalues: np.ndarray
     ridge: float
 
+    def to_record(self) -> dict:
+        """Machine-readable record of the estimate: every value ``dim`` prints."""
+        return {
+            "q_hat": self.q_hat,
+            "c_n": self.ridge,
+            "eigenvalues": self.eigenvalues.tolist(),
+            "ridge_ratios": ridge_ratios(self.eigenvalues, self.ridge).tolist(),
+            "b_columns": self.b.T.tolist(),
+        }
+
 
 def _fix_signs(vectors: np.ndarray) -> np.ndarray:
     """Flip columns so the largest-magnitude entry of each is positive."""
@@ -83,31 +93,6 @@ def _decompose(m: np.ndarray) -> CandidateMatrix:
     vals = np.clip(vals[::-1], 0.0, None)
     vecs = _fix_signs(vecs[:, ::-1])
     return CandidateMatrix(m=m, eigenvalues=vals, eigenvectors=vecs)
-
-
-def sir_candidate(z: np.ndarray, slice_label: np.ndarray) -> np.ndarray:
-    """Slice-mean covariance `sum_h p_h zbar_h zbar_h'` for centered ``z``.
-
-    ``slice_label`` must be integers ``0..H-1`` with every value occupied.
-    """
-    z = np.atleast_2d(np.asarray(z, dtype=float))
-    labels = np.asarray(slice_label, dtype=int).reshape(-1)
-    n = z.shape[0]
-    if n == 0:
-        raise DataError("empty input")
-    if labels.shape[0] != n:
-        raise DataError(f"{labels.shape[0]} labels for {n} rows")
-    if labels.min() < 0:
-        raise DataError("negative slice label")
-    counts = np.bincount(labels)
-    if np.any(counts == 0):
-        empty = int(np.argmax(counts == 0))
-        raise DataError(f"slice {empty} has no members; compact the labels first")
-    sums = np.zeros((counts.size, z.shape[1]))
-    np.add.at(sums, labels, z)
-    means = sums / counts[:, None]
-    weighted = means * (counts / n)[:, None]
-    return weighted.T @ means
 
 
 def _require_variation(y: np.ndarray) -> None:

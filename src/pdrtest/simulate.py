@@ -14,23 +14,17 @@ from __future__ import annotations
 import csv
 import io
 import logging
-import os
-import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
-from . import __version__
 from .dataset import Dataset, Schema
 from .errors import DataError
 from .lackfit import run_test
 
 logger = logging.getLogger(__name__)
-
-#: Environment variable controlling the worker-pool size.
-WORKERS_ENV = "PDRTEST_WORKERS"
 
 TABLE_FIELDS = ("case", "n", "a", "reps", "mc_reps", "alpha", "rejection_rate", "seed")
 
@@ -148,7 +142,6 @@ class PowerRow:
 @dataclass
 class PowerTable:
     rows: list[PowerRow]
-    metadata: dict = field(default_factory=dict, compare=False)
 
 
 def _one_replicate(args) -> tuple[bool, bool]:
@@ -159,20 +152,7 @@ def _one_replicate(args) -> tuple[bool, bool]:
     ds = generate(dsg, np.random.default_rng(data_ss))
     test_seed = int(test_ss.generate_state(1, dtype=np.uint64)[0])
     report = run_test(ds, dsg.null_family, m=mc_reps, seed=test_seed, alpha=alpha)
-    return report.reject, report.fit_warning
-
-
-def resolve_workers(workers: int | None = None) -> int:
-    """Worker count: explicit argument, else the environment, else 1."""
-    if workers is not None:
-        return max(1, int(workers))
-    env = os.environ.get(WORKERS_ENV, "").strip()
-    if not env:
-        return 1
-    try:
-        return max(1, int(env))
-    except ValueError:
-        raise DataError(f"{WORKERS_ENV} must be an integer, got {env!r}") from None
+    return report.reject, not report.fit.converged
 
 
 def power_experiment(
@@ -185,13 +165,15 @@ def power_experiment(
 ) -> PowerTable:
     """Rejection frequency of the test over fresh datasets, per grid cell.
 
-    Deterministic given ``seed`` regardless of ``workers``; failed
-    replicates are logged and re-raised, non-converged fits only counted
-    and logged.
+    Deterministic given ``seed`` regardless of ``workers`` (default 1);
+    failed replicates are logged and re-raised, non-converged fits only
+    counted and logged.
     """
     if reps < 1:
         raise ValueError(f"reps must be at least 1, got {reps}")
-    n_workers = resolve_workers(workers)
+    if seed < 0:
+        raise DataError(f"seed must be a non-negative integer, got {seed}")
+    n_workers = 1 if workers is None else max(1, int(workers))
     rows: list[PowerRow] = []
     for gi, dsg in enumerate(designs):
         tasks = [(dsg, gi, r, seed, mc_reps, alpha) for r in range(reps)]
@@ -225,10 +207,7 @@ def power_experiment(
                 seed=seed,
             )
         )
-    return PowerTable(
-        rows=rows,
-        metadata={"created": time.strftime("%Y-%m-%dT%H:%M:%S"), "version": __version__},
-    )
+    return PowerTable(rows=rows)
 
 
 def render_csv(table: PowerTable) -> str:

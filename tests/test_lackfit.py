@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import dataclasses
+import json
 
 import numpy as np
 import pytest
@@ -13,6 +14,7 @@ from pdrtest import (
     Dataset,
     ProjectedSample,
     build_projected,
+    cli,
     design,
     estimate_basis,
     generate,
@@ -275,13 +277,22 @@ class TestRunTest:
         np.testing.assert_array_equal(a.eigenvalues, b.eigenvalues)
         assert dataclasses.asdict(a.mc_stats) == dataclasses.asdict(b.mc_stats)
 
-    def test_report_record_fields(self):
+    def test_report_record_fields(self, tmp_path, capsys):
         ds = generate(design("ex1", 50, 0.0), np.random.default_rng(17))
         rep = run_test(ds, "linear", m=30, seed=7, alpha=0.1)
         rec = rep.to_record()
-        assert set(rec) == {"t_n", "p_hat", "q_hat", "m", "seed", "converged",
-                            "eigenvalues", "b_columns"}
+        # the CLI's JSON report is this record plus its run configuration
+        path = tmp_path / "ex1.csv"
+        np.savetxt(path, np.column_stack([ds.y, ds.x]), delimiter=",",
+                   header="y,x1,x2,x3,x4", comments="")  # %.18e round-trips
+        assert cli.main(["test", "--data", str(path), "--y", "y", "--x", "x1,x2,x3,x4",
+                         "--mc-reps", "30", "--seed", "7", "--alpha", "0.1",
+                         "--format", "json"]) == cli.EXIT_OK
+        printed = json.loads(capsys.readouterr().out)
+        assert set(rec) | {"config"} == set(printed)
+        assert json.loads(json.dumps(rec)) == {k: v for k, v in printed.items() if k != "config"}
         assert rec["m"] == 30 and rec["seed"] == 7
+        assert rec["fit_warning"] == (not rep.fit.converged)
         assert rep.reject == (rep.p_hat <= 0.1)
         assert rep.t_n >= 0.0
 

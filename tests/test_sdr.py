@@ -3,10 +3,11 @@
 from __future__ import annotations
 
 import tracemalloc
+from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from pdrtest import (
@@ -18,12 +19,36 @@ from pdrtest import (
     generate,
     pdee_matrix,
     ridge_eigenvalue_ratio,
-    sir_candidate,
     standardize,
 )
 from pdrtest.sdr import MAX_SLICES, MIN_CELL, SLICE_OCCUPANCY, order_statistic_sums
 
 BETA_EX1 = np.array([0.0, 0.0, 1.0, 1.0]) / np.sqrt(2.0)
+
+
+def sir_candidate(z: np.ndarray, slice_label: np.ndarray) -> np.ndarray:
+    """Slice-mean covariance `sum_h p_h zbar_h zbar_h'` for centered ``z``.
+
+    ``slice_label`` must be integers ``0..H-1`` with every value occupied.
+    """
+    z = np.atleast_2d(np.asarray(z, dtype=float))
+    labels = np.asarray(slice_label, dtype=int).reshape(-1)
+    n = z.shape[0]
+    if n == 0:
+        raise DataError("empty input")
+    if labels.shape[0] != n:
+        raise DataError(f"{labels.shape[0]} labels for {n} rows")
+    if labels.min() < 0:
+        raise DataError("negative slice label")
+    counts = np.bincount(labels)
+    if np.any(counts == 0):
+        empty = int(np.argmax(counts == 0))
+        raise DataError(f"slice {empty} has no members; compact the labels first")
+    sums = np.zeros((counts.size, z.shape[1]))
+    np.add.at(sums, labels, z)
+    means = sums / counts[:, None]
+    weighted = means * (counts / n)[:, None]
+    return weighted.T @ means
 
 
 def slice_matrix_oracle(z, labels):
@@ -43,6 +68,13 @@ def slice_matrix_oracle(z, labels):
     return out
 
 
+def rounding_floor(z):
+    """A few ulps of ``max|z|**2``: the scale of either candidate path's
+    rounding error when the slice means nearly cancel against the cell mean,
+    so that the candidate entries, and a bound relative to them, are tiny."""
+    return 4 * np.finfo(float).eps * np.max(np.abs(z)) ** 2
+
+
 def assert_one_column_path_matches_loop(z, y, w):
     """The one-column path of ``pdee_matrix`` against its per-threshold loop.
 
@@ -58,7 +90,57 @@ def assert_one_column_path_matches_loop(z, y, w):
         assert str(info.value) == str(exc)
         return
     got = pdee_matrix(z, y, w[:, None]).m
-    np.testing.assert_allclose(got, expected, rtol=0, atol=1e-12 * np.abs(expected).max())
+    atol = 1e-12 * np.abs(expected).max() + rounding_floor(z)
+    np.testing.assert_allclose(got, expected, rtol=0, atol=atol)
+
+
+def one_column_inputs(n, p1, y_digits, w_kind, seed):
+    """Random ``(z, y, w)`` with ties in y at every rounding level and W of
+    the given kind."""
+    rng = np.random.default_rng(seed)
+    z = rng.standard_normal((n, p1))
+    y = np.round(rng.standard_normal(n), y_digits)
+    w = {
+        "continuous": lambda: rng.standard_normal(n),
+        "rounded": lambda: np.round(rng.standard_normal(n), 1),
+        "few": lambda: rng.integers(0, 4, n).astype(float),
+        "constant": lambda: np.full(n, 1.5),
+    }[w_kind]()
+    return z, y, w
+
+
+def exact_one_column_candidate(z, y, w):
+    """``pdee_matrix(z, y, w[:, None]).m`` in exact rational arithmetic,
+    straight from the definition: each W threshold cuts two cells, each usable
+    cell is sliced on the response (ties in input order), and the slice means
+    are centred on the cell mean."""
+    n, p = z.shape
+    zq = [[Fraction(float(v)) for v in row] for row in z]
+    y_order = np.argsort(y, kind="stable")
+    total = [[Fraction(0)] * p for _ in range(p)]
+    for t, t_count in zip(*np.unique(w, return_counts=True)):
+        cells = [[i for i in y_order if w[i] <= t], [i for i in y_order if w[i] > t]]
+        cells = [cell for cell in cells if len(cell) >= MIN_CELL]
+        used = sum(len(cell) for cell in cells)
+        for cell in cells:
+            s = len(cell)
+            h = 2 if s < 2 * SLICE_OCCUPANCY else min(MAX_SLICES, s // SLICE_OCCUPANCY)
+            mean = [sum(zq[i][a] for i in cell) / s for a in range(p)]
+            for j in range(h):
+                members = cell[j * s // h : (j + 1) * s // h]
+                c = [sum(zq[i][a] for i in members) / len(members) - mean[a] for a in range(p)]
+                weight = Fraction(int(t_count), used) * len(members)
+                for a in range(p):
+                    for b in range(p):
+                        total[a][b] += weight * c[a] * c[b]
+    return [[v / n for v in row] for row in total]
+
+
+def assert_exact(got, exact, z):
+    err = max(abs(Fraction(float(g)) - e) for g_row, e_row in zip(got, exact)
+              for g, e in zip(g_row, e_row))
+    scale = max(abs(e) for row in exact for e in row)
+    assert err <= Fraction(1e-12) * scale + Fraction(rounding_floor(z)), float(err)
 
 
 class TestSirCandidate:
@@ -218,17 +300,25 @@ class TestPdeeMatrix:
         seed=st.integers(0, 2**32 - 1),
     )
     @settings(max_examples=300, deadline=None)
+    # the slice means nearly cancel: entries near 1e-8, rounding near 1e-20
+    @example(n=8, p1=1, y_digits=2, w_kind="constant", seed=20260810)
     def test_one_column_path_matches_loop(self, n, p1, y_digits, w_kind, seed):
-        rng = np.random.default_rng(seed)
-        z = rng.standard_normal((n, p1))
-        y = np.round(rng.standard_normal(n), y_digits)  # ties at every level
-        w = {
-            "continuous": lambda: rng.standard_normal(n),
-            "rounded": lambda: np.round(rng.standard_normal(n), 1),
-            "few": lambda: rng.integers(0, 4, n).astype(float),
-            "constant": lambda: np.full(n, 1.5),
-        }[w_kind]()
-        assert_one_column_path_matches_loop(z, y, w)
+        assert_one_column_path_matches_loop(*one_column_inputs(n, p1, y_digits, w_kind, seed))
+
+    @pytest.mark.parametrize(
+        "args",
+        [
+            (8, 1, 2, "constant", 20260810),  # the cancelling example above
+            (30, 2, 1, "rounded", 1),
+            (40, 3, 0, "few", 2),
+            (27, 2, 2, "continuous", 3),
+        ],
+    )
+    def test_both_paths_match_exact_value(self, args):
+        z, y, w = one_column_inputs(*args)
+        exact = exact_one_column_candidate(z, y, w)
+        assert_exact(pdee_matrix(z, y, w[:, None]).m, exact, z)
+        assert_exact(pdee_matrix(z, y, np.column_stack([w, np.zeros_like(w)])).m, exact, z)
 
     @pytest.mark.parametrize(
         "size",

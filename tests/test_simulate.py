@@ -18,6 +18,7 @@ from pdrtest import (
     power_experiment,
     read_experiment_spec,
 )
+from pdrtest import simulate
 from pdrtest.simulate import render_csv, render_curves, render_text
 
 
@@ -115,6 +116,14 @@ class TestPowerExperiment:
         parallel = power_experiment(designs, reps=6, mc_reps=25, alpha=0.05, seed=11, workers=2)
         assert serial.rows == parallel.rows
 
+    def test_negative_seed_named_before_any_replicate(self, monkeypatch):
+        def fail(*args, **kwargs):
+            raise AssertionError("data generated before the seed was checked")
+
+        monkeypatch.setattr(simulate, "generate", fail)
+        with pytest.raises(DataError, match="^seed must be a non-negative integer, got -2$"):
+            power_experiment([design("ex1", 40, 0.0)], 1, 10, 0.05, -2, workers=1)
+
     def test_rate_is_exact_fraction(self):
         table = power_experiment([design("ex1", 60, 0.6)], reps=7, mc_reps=40, alpha=0.05, seed=12)
         r = table.rows[0]
@@ -162,7 +171,7 @@ class TestTables:
                      alpha=0.05, rejection_rate=i / 10, seed=7)
             for i in range(n_rows)
         ]
-        return PowerTable(rows=rows, metadata={"created": "now"})
+        return PowerTable(rows=rows)
 
     def test_single_row_csv_has_two_lines(self):
         text = render_csv(self._table(1))
