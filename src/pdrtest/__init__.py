@@ -23,7 +23,6 @@ from .errors import DataError, SingularityError
 from .families import ModelFamily, family_names, finite_diff_grad, get_family, register_family
 from .fit import FitResult, influence_vectors, nls_fit
 from .lackfit import (
-    McSummary,
     ProjectedSample,
     TestReport,
     build_projected,
@@ -66,7 +65,6 @@ __all__ = [
     "Dataset",
     "ExperimentSpec",
     "FitResult",
-    "McSummary",
     "ModelFamily",
     "PowerRow",
     "PowerTable",

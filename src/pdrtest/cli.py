@@ -55,13 +55,15 @@ def _load_dataset(args) -> Dataset:
     return ds
 
 
-def _dataset_config(args, ds: Dataset) -> dict:
+def _config(args, ds: Dataset) -> dict:
+    """Where the data came from: the values of a report that no record holds."""
     names = ds.column_names
     if args.data:
         data_path = str(args.data)
     else:
         data_path = str(boston_path()) if args.preset else ""
     return {
+        "command": args.command,
         "data": data_path,
         "preset": args.preset,
         "y": names.y if names else None,
@@ -70,14 +72,6 @@ def _dataset_config(args, ds: Dataset) -> dict:
         "n": ds.n,
         "dropped_rows": ds.dropped_rows,
     }
-
-
-def _emit(text: str, out: str | None) -> None:
-    if out:
-        with open(out, "w", encoding="utf-8") as fh:
-            fh.write(text)
-    else:
-        print(text, end="" if text.endswith("\n") else "\n")
 
 
 def _render(record: dict, fmt: str) -> str:
@@ -91,28 +85,30 @@ def _render(record: dict, fmt: str) -> str:
     )
 
 
+def _emit_report(record: dict, args, ds: Dataset) -> int:
+    """Render the record, with the data provenance under ``config``, to
+    ``--out`` or stdout."""
+    text = _render({**record, "config": _config(args, ds)}, args.format)
+    if args.out:
+        with open(args.out, "w", encoding="utf-8") as fh:
+            fh.write(text)
+    else:
+        print(text, end="")
+    return EXIT_OK
+
+
 def cmd_test(args) -> int:
     ds = _load_dataset(args)
     seed = _resolve_seed(args.seed)
     report = run_test(
         ds, args.family, m=args.mc_reps, c_n=args.cn, seed=seed, alpha=args.alpha
     )
-    config = _dataset_config(args, ds)
-    config.update(
-        {"command": "test", "family": args.family, "m": args.mc_reps,
-         "c_n": report.c_n, "alpha": args.alpha, "seed": seed}
-    )
-    _emit(_render({**report.to_record(), "config": config}, args.format), args.out)
-    return EXIT_OK
+    return _emit_report(report.to_record(), args, ds)
 
 
 def cmd_dim(args) -> int:
     ds = _load_dataset(args)
-    basis = estimate_basis(ds, args.cn)
-    config = _dataset_config(args, ds)
-    config.update({"command": "dim", "c_n": basis.ridge})
-    _emit(_render({**basis.to_record(), "config": config}, args.format), args.out)
-    return EXIT_OK
+    return _emit_report(estimate_basis(ds, args.cn).to_record(), args, ds)
 
 
 def cmd_simulate(args) -> int:

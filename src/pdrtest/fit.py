@@ -125,15 +125,14 @@ def nls_fit(
     )
 
 
-def influence_vectors(fit: FitResult, allow_unconverged: bool = False) -> np.ndarray:
+def influence_vectors(fit: FitResult) -> np.ndarray:
     """Per-observation influence of the parameter estimates.
 
     Row i is ``S^{-1} score_i resid_i`` with ``S`` the average outer product
     of the score rows: the usual least-squares expansion of the estimate
-    error as a mean of independent terms.
+    error as a mean of independent terms.  An unconverged fit is used as it
+    stands; its ``converged`` flag is what reports it.
     """
-    if not (fit.converged or allow_unconverged):
-        raise ValueError("fit did not converge; pass allow_unconverged=True to override")
     n = fit.residuals.shape[0]
     s_hat = fit.score.T @ fit.score / n
     cond = np.linalg.cond(s_hat)

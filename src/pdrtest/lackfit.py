@@ -29,7 +29,7 @@ class ProjectedSample:
     ``ind_full[i, j]`` is ``1{(s_i, w_i) <= (s_j, w_j)}`` componentwise over
     all projection columns; ``ind_first`` uses only the first projection
     column.  Dominance is inclusive, so diagonals are true and tied points
-    dominate each other.
+    dominate each other.  With one projection column the two are one array.
     """
 
     s: np.ndarray
@@ -39,54 +39,51 @@ class ProjectedSample:
 
 
 @dataclass(frozen=True)
-class McSummary:
-    """Distribution summary of the resampled statistics."""
-
-    count: int
-    minimum: float
-    median: float
-    maximum: float
-
-
-@dataclass(frozen=True)
 class TestReport:
-    """Everything a test run produced, sufficient to reproduce it."""
+    """Everything a test run produced, sufficient to reproduce it.
+
+    ``basis`` is the direction estimate the statistic was built on and
+    ``replicates`` the resampled statistics behind ``p_hat``; the
+    Monte Carlo size is ``replicates.size``.
+    """
 
     t_n: float
     p_hat: float
-    q_hat: int
-    b: np.ndarray
-    eigenvalues: np.ndarray
-    mc_stats: McSummary
+    basis: BasisEstimate
+    replicates: np.ndarray
     fit: FitResult
     family: str
-    m: int
-    c_n: float
     alpha: float
     seed: int
     reject: bool
 
+    @property
+    def q_hat(self) -> int:
+        return self.basis.q_hat
+
+    @property
+    def b(self) -> np.ndarray:
+        return self.basis.b
+
     def to_record(self) -> dict:
-        """Machine-readable record of the run: every value a report prints."""
+        """Machine-readable record of the run: the basis record (every value
+        ``dim`` prints) plus the test's own values."""
+        reps = self.replicates
         return {
+            **self.basis.to_record(),
             "t_n": self.t_n,
             "p_hat": self.p_hat,
-            "q_hat": self.q_hat,
-            "m": self.m,
+            "reject": self.reject,
+            "m": reps.size,
             "seed": self.seed,
             "alpha": self.alpha,
-            "reject": self.reject,
-            "c_n": self.c_n,
             "family": self.family,
             "converged": self.fit.converged,
-            "fit_warning": not self.fit.converged,
-            "eigenvalues": self.eigenvalues.tolist(),
-            "b_columns": self.b.T.tolist(),
             "mc": {
-                "count": self.mc_stats.count,
-                "min": self.mc_stats.minimum,
-                "median": self.mc_stats.median,
-                "max": self.mc_stats.maximum,
+                "count": reps.size,
+                "min": float(reps.min()),
+                "median": float(np.median(reps)),
+                "max": float(reps.max()),
             },
         }
 
@@ -108,12 +105,12 @@ def build_projected(ds: Dataset, basis: BasisEstimate) -> ProjectedSample:
     if basis.b.shape[0] != ds.p1:
         raise ValueError(f"basis has {basis.b.shape[0]} rows, data has p1={ds.p1}")
     s = ds.x @ basis.b
-    return ProjectedSample(
-        s=s,
-        w=ds.w,
-        ind_full=indicator_matrix(np.column_stack([s, ds.w])),
-        ind_first=indicator_matrix(np.column_stack([s[:, :1], ds.w])),
-    )
+    ind_full = indicator_matrix(np.column_stack([s, ds.w]))
+    if basis.q_hat > 1:
+        ind_first = indicator_matrix(np.column_stack([s[:, :1], ds.w]))
+    else:  # the first column is all of s: both matrices are the same
+        ind_first = ind_full
+    return ProjectedSample(s=s, w=ds.w, ind_full=ind_full, ind_first=ind_first)
 
 
 def tn_statistic(residuals: np.ndarray, proj: ProjectedSample) -> float:
@@ -179,14 +176,15 @@ def mc_pvalue(
     return pvalue_from_replicates(t_n, replicates), replicates
 
 
-def summarize_replicates(replicates: np.ndarray) -> McSummary:
-    replicates = np.asarray(replicates, dtype=float).reshape(-1)
-    return McSummary(
-        count=int(replicates.size),
-        minimum=float(replicates.min()),
-        median=float(np.median(replicates)),
-        maximum=float(replicates.max()),
-    )
+def check_settings(m: int, alpha: float, seed: int) -> None:
+    """Reject a Monte Carlo size, level or seed the test cannot use, before
+    any work is done."""
+    if seed < 0:
+        raise DataError(f"seed must be a non-negative integer, got {seed}")
+    if not 0.0 < alpha < 1.0:
+        raise ValueError(f"alpha must be in (0, 1), got {alpha}")
+    if m < 1:
+        raise ValueError(f"need at least one replicate, got {m}")
 
 
 def run_test(
@@ -201,30 +199,23 @@ def run_test(
     """Full pipeline: direction estimate, least-squares fit, statistic,
     multiplier resampling, decision.  Deterministic given ``seed``.
     """
-    if seed < 0:
-        raise DataError(f"seed must be a non-negative integer, got {seed}")
-    if not 0.0 < alpha < 1.0:
-        raise ValueError(f"alpha must be in (0, 1), got {alpha}")
+    check_settings(m, alpha, seed)
     if isinstance(family, str):
         family = get_family(family, ds.p1, ds.p2)
     basis = estimate_basis(ds, c_n)
     fit = nls_fit(ds, family)
     proj = build_projected(ds, basis)
     t_n = tn_statistic(fit.residuals, proj)
-    v_hat = influence_vectors(fit, allow_unconverged=True)
+    v_hat = influence_vectors(fit)
     a = rho_matrix(fit, v_hat, proj)
     p_hat, replicates = mc_pvalue(t_n, a, m, seed)
     return TestReport(
         t_n=t_n,
         p_hat=p_hat,
-        q_hat=basis.q_hat,
-        b=basis.b,
-        eigenvalues=basis.eigenvalues,
-        mc_stats=summarize_replicates(replicates),
+        basis=basis,
+        replicates=replicates,
         fit=fit,
         family=family.name,
-        m=m,
-        c_n=basis.ridge,
         alpha=alpha,
         seed=seed,
         reject=bool(p_hat <= alpha),

@@ -12,8 +12,10 @@ index), so results do not depend on scheduling or worker count.
 from __future__ import annotations
 
 import csv
+import dataclasses
 import io
 import logging
+import typing
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
@@ -22,11 +24,9 @@ import numpy as np
 
 from .dataset import Dataset, Schema
 from .errors import DataError
-from .lackfit import run_test
+from .lackfit import check_settings, run_test
 
 logger = logging.getLogger(__name__)
-
-TABLE_FIELDS = ("case", "n", "a", "reps", "mc_reps", "alpha", "rejection_rate", "seed")
 
 
 @dataclass(frozen=True)
@@ -129,6 +129,8 @@ def generate(dsg: SimDesign, rng: np.random.Generator) -> Dataset:
 
 @dataclass(frozen=True)
 class PowerRow:
+    """One grid cell's result; its fields, in order, are the CSV columns."""
+
     case: str
     n: int
     a: float
@@ -167,13 +169,15 @@ def power_experiment(
 
     Deterministic given ``seed`` regardless of ``workers`` (default 1);
     failed replicates are logged and re-raised, non-converged fits only
-    counted and logged.
+    counted and logged.  A bad level, Monte Carlo size, seed or worker
+    count is named before any replicate runs.
     """
     if reps < 1:
         raise ValueError(f"reps must be at least 1, got {reps}")
-    if seed < 0:
-        raise DataError(f"seed must be a non-negative integer, got {seed}")
-    n_workers = 1 if workers is None else max(1, int(workers))
+    check_settings(mc_reps, alpha, seed)
+    if workers is not None and workers < 1:
+        raise DataError(f"workers must be at least 1, got {workers}")
+    n_workers = 1 if workers is None else int(workers)
     rows: list[PowerRow] = []
     for gi, dsg in enumerate(designs):
         tasks = [(dsg, gi, r, seed, mc_reps, alpha) for r in range(reps)]
@@ -210,14 +214,16 @@ def power_experiment(
     return PowerTable(rows=rows)
 
 
+def _row_fields() -> list[str]:
+    return [f.name for f in dataclasses.fields(PowerRow)]
+
+
 def render_csv(table: PowerTable) -> str:
-    """One CSV row per grid cell, fixed column schema."""
+    """One CSV row per grid cell, one column per ``PowerRow`` field."""
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(TABLE_FIELDS)
-    for r in table.rows:
-        writer.writerow([r.case, r.n, repr(r.a), r.reps, r.mc_reps, repr(r.alpha),
-                         repr(r.rejection_rate), r.seed])
+    writer.writerow(_row_fields())
+    writer.writerows(dataclasses.astuple(r) for r in table.rows)
     return buf.getvalue()
 
 
@@ -273,14 +279,11 @@ def parse_table(text: str) -> PowerTable:
         header = next(reader)
     except StopIteration:
         raise DataError("empty table text") from None
-    if tuple(header) != TABLE_FIELDS:
+    if header != _row_fields():
         raise DataError(f"unexpected header {header}")
+    types = typing.get_type_hints(PowerRow)
     rows = [
-        PowerRow(
-            case=rec[0], n=int(rec[1]), a=float(rec[2]), reps=int(rec[3]),
-            mc_reps=int(rec[4]), alpha=float(rec[5]),
-            rejection_rate=float(rec[6]), seed=int(rec[7]),
-        )
+        PowerRow(**{name: types[name](cell) for name, cell in zip(header, rec, strict=True)})
         for rec in reader if rec
     ]
     return PowerTable(rows=rows)

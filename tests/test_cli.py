@@ -62,9 +62,34 @@ class TestCmdTest:
         record = json.loads(out.read_text())
         assert record["q_hat"] == 2
         assert record["p_hat"] <= 0.01
-        assert record["config"]["m"] == 200
-        assert record["config"]["seed"] == 3
+        assert record["m"] == record["mc"]["count"] == 200
+        assert record["seed"] == 3
+        assert record["family"] == "linear+w"
         assert len(record["b_columns"]) == 2
+        assert len(record["ridge_ratios"]) == 10
+        assert sorted(record["config"]) == sorted(
+            ["command", "data", "preset", "y", "x", "w", "n", "dropped_rows"])
+        assert record["config"]["command"] == "test"
+
+    @pytest.mark.parametrize("source", ["boston", "csv"])
+    def test_dim_record_is_part_of_test_record(self, source, ex1_file, capsys):
+        if source == "boston":
+            data, family = ["--preset", "boston"], "linear+w"
+        else:
+            data, family = ["--data", ex1_file, "--y", "y", "--x", "x1,x2,x3,x4"], "linear"
+        common = [*data, "--cn", "0.02", "--format", "json"]
+        assert main(["dim", *common]) == EXIT_OK
+        dim = json.loads(capsys.readouterr().out)
+        assert main(["test", *common, "--family", family,
+                     "--mc-reps", "50", "--seed", "2"]) == EXIT_OK
+        test = json.loads(capsys.readouterr().out)
+        dim_config, test_config = dim.pop("config"), test.pop("config")
+        assert test.items() >= dim.items()
+        assert set(test) - set(dim) == {
+            "t_n", "p_hat", "reject", "m", "seed", "alpha", "family", "converged", "mc"}
+        assert dim_config == {**test_config, "command": "dim"}
+        for record, config in ((dim, dim_config), (test, test_config)):
+            assert not set(config) & set(record)
 
     def test_same_seed_byte_identical_reports(self, tmp_path):
         args = [
@@ -200,8 +225,20 @@ class TestCmdSimulate:
         spec = self._spec(tmp_path, case="exo")
         assert main(["simulate", "--spec", spec]) == EXIT_DATA
 
+    @pytest.mark.parametrize("workers", ["0", "-2"])
+    def test_workers_below_one_is_config_error(self, workers, tmp_path, capsys):
+        spec = self._spec(tmp_path)
+        assert main(["simulate", "--spec", spec, "--workers", workers]) == EXIT_DATA
+        assert f"workers must be at least 1, got {workers}" in capsys.readouterr().err
+
     def test_missing_spec_file(self, capsys):
         assert main(["simulate", "--spec", "/nonexistent/exp.txt"]) == EXIT_IO
+
+
+def test_star_import_names_exist():
+    namespace = {}
+    exec("from pdrtest import *", namespace)
+    assert set(pdrtest.__all__) <= set(namespace)
 
 
 def test_module_entry_point_runs():

@@ -148,16 +148,17 @@ class TestInfluenceVectors:
         with pytest.raises(SingularityError, match="condition"):
             influence_vectors(fit)
 
-    def test_unconverged_fit_rejected_by_default(self):
+    def test_unconverged_fit_still_gives_influence_vectors(self):
         rng = np.random.default_rng(12)
         x = rng.standard_normal((60, 2))
         y = np.sin(x @ np.array([1.5, -2.0]))
         ds = Dataset(y=y, x=x, w=None)
         family = ModelFamily(name="sine2", p1=2, d=0, mean=lambda x_, w_, b, t: np.sin(x_ @ b))
         fit = nls_fit(ds, family, init=np.array([8.0, 8.0]), max_iter=1)
-        with pytest.raises(ValueError, match="converge"):
-            influence_vectors(fit)
-        influence_vectors(fit, allow_unconverged=True)
+        assert not fit.converged
+        v = influence_vectors(fit)
+        assert v.shape == (60, 2)
+        assert np.all(np.isfinite(v))
 
 
 class TestGradients:

@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import dataclasses
 import json
 
 import numpy as np
@@ -21,6 +20,7 @@ from pdrtest import (
     get_family,
     indicator_matrix,
     influence_vectors,
+    lackfit,
     mc_pvalue,
     mc_replicate,
     nls_fit,
@@ -94,6 +94,32 @@ class TestIndicators:
         rng = np.random.default_rng(3)
         proj = proj_from_points(rng.standard_normal((12, 1)), rng.standard_normal((12, 2)))
         np.testing.assert_array_equal(proj.ind_full, proj.ind_first)
+
+    def test_one_direction_builds_one_matrix(self):
+        ds = generate(design("ex5c1", 60, 0.0), np.random.default_rng(4))
+        basis = estimate_basis(ds)
+        assert basis.q_hat == 1
+        proj = build_projected(ds, basis)
+        assert proj.ind_first is proj.ind_full
+        np.testing.assert_array_equal(proj.ind_full, indicator_oracle(np.column_stack([proj.s, ds.w])))
+
+    def test_shared_matrix_leaves_run_test_unchanged(self, monkeypatch):
+        ds = generate(design("ex1", 80, 0.4), np.random.default_rng(5))
+        shared = run_test(ds, "linear", m=50, seed=6)
+        assert shared.q_hat == 1
+
+        def separate(ds, basis):
+            s = ds.x @ basis.b
+            return ProjectedSample(
+                s=s, w=ds.w,
+                ind_full=indicator_matrix(np.column_stack([s, ds.w])),
+                ind_first=indicator_matrix(np.column_stack([s[:, :1], ds.w])),
+            )
+
+        monkeypatch.setattr(lackfit, "build_projected", separate)
+        apart = run_test(ds, "linear", m=50, seed=6)
+        assert (shared.t_n, shared.p_hat) == (apart.t_n, apart.p_hat)
+        np.testing.assert_array_equal(shared.replicates, apart.replicates)
 
     def test_build_projected_uses_basis(self):
         rng = np.random.default_rng(4)
@@ -271,17 +297,23 @@ class TestRunTest:
         ds = generate(design("ex5c1", 60, 0.5), np.random.default_rng(16))
         a = run_test(ds, "linear+w", m=80, seed=42)
         b = run_test(ds, "linear+w", m=80, seed=42)
-        for name in ("t_n", "p_hat", "q_hat", "seed", "reject", "m", "c_n"):
+        for name in ("t_n", "p_hat", "q_hat", "seed", "reject"):
             assert getattr(a, name) == getattr(b, name)
+        assert a.basis.ridge == b.basis.ridge
         np.testing.assert_array_equal(a.b, b.b)
-        np.testing.assert_array_equal(a.eigenvalues, b.eigenvalues)
-        assert dataclasses.asdict(a.mc_stats) == dataclasses.asdict(b.mc_stats)
+        np.testing.assert_array_equal(a.basis.eigenvalues, b.basis.eigenvalues)
+        np.testing.assert_array_equal(a.replicates, b.replicates)
+        assert a.replicates.shape == (80,)
 
     def test_report_record_fields(self, tmp_path, capsys):
         ds = generate(design("ex1", 50, 0.0), np.random.default_rng(17))
         rep = run_test(ds, "linear", m=30, seed=7, alpha=0.1)
         rec = rep.to_record()
-        # the CLI's JSON report is this record plus its run configuration
+        # the test record is the basis record plus the test's own values
+        assert rec.items() >= rep.basis.to_record().items()
+        assert set(rec) - set(rep.basis.to_record()) == {
+            "t_n", "p_hat", "reject", "m", "seed", "alpha", "family", "converged", "mc"}
+        # the CLI's JSON report is this record plus the data provenance
         path = tmp_path / "ex1.csv"
         np.savetxt(path, np.column_stack([ds.y, ds.x]), delimiter=",",
                    header="y,x1,x2,x3,x4", comments="")  # %.18e round-trips
@@ -292,7 +324,9 @@ class TestRunTest:
         assert set(rec) | {"config"} == set(printed)
         assert json.loads(json.dumps(rec)) == {k: v for k, v in printed.items() if k != "config"}
         assert rec["m"] == 30 and rec["seed"] == 7
-        assert rec["fit_warning"] == (not rep.fit.converged)
+        assert rec["converged"] == rep.fit.converged
+        assert rec["mc"] == {"count": 30, "min": rep.replicates.min(),
+                             "median": np.median(rep.replicates), "max": rep.replicates.max()}
         assert rep.reject == (rep.p_hat <= 0.1)
         assert rep.t_n >= 0.0
 
@@ -311,7 +345,8 @@ class TestRunTest:
         rep = run_test(ds, "linear", m=60, seed=3)
         assert rep.b.shape[0] == 3
         assert 0.0 <= rep.p_hat <= 1.0
-        assert rep.mc_stats.count == 60
+        assert rep.replicates.shape == (60,)
+        assert rep.p_hat == np.mean(rep.replicates >= rep.t_n)
 
     def test_boston_rejects_plain_linear_family_too(self, boston):
         # the rejection does not hinge on how W enters the fitted mean

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import dataclasses
+import logging
 import math
 
 import numpy as np
@@ -124,6 +126,30 @@ class TestPowerExperiment:
         with pytest.raises(DataError, match="^seed must be a non-negative integer, got -2$"):
             power_experiment([design("ex1", 40, 0.0)], 1, 10, 0.05, -2, workers=1)
 
+    @pytest.mark.parametrize("alpha, mc_reps, message", [
+        (1.5, 10, r"^alpha must be in \(0, 1\), got 1.5$"),
+        (0.05, 0, r"^need at least one replicate, got 0$"),
+    ])
+    def test_bad_level_or_mc_size_named_before_any_replicate(self, alpha, mc_reps, message,
+                                                               caplog, monkeypatch):
+        def fail(*args, **kwargs):
+            raise AssertionError("data generated before the settings were checked")
+
+        monkeypatch.setattr(simulate, "generate", fail)
+        with caplog.at_level(logging.ERROR, logger=simulate.logger.name):
+            with pytest.raises(ValueError, match=message):
+                power_experiment([design("ex1", 40, 0.0)], 2, mc_reps, alpha, 1, workers=1)
+        assert not [r for r in caplog.records if "replicate failed" in r.getMessage()]
+
+    @pytest.mark.parametrize("workers", [0, -3])
+    def test_workers_below_one_rejected(self, workers, monkeypatch):
+        def fail(*args, **kwargs):
+            raise AssertionError("data generated before the worker count was checked")
+
+        monkeypatch.setattr(simulate, "generate", fail)
+        with pytest.raises(DataError, match=f"^workers must be at least 1, got {workers}$"):
+            power_experiment([design("ex1", 40, 0.0)], 1, 10, 0.05, 1, workers=workers)
+
     def test_rate_is_exact_fraction(self):
         table = power_experiment([design("ex1", 60, 0.6)], reps=7, mc_reps=40, alpha=0.05, seed=12)
         r = table.rows[0]
@@ -172,6 +198,10 @@ class TestTables:
             for i in range(n_rows)
         ]
         return PowerTable(rows=rows)
+
+    def test_csv_header_is_power_row_fields(self):
+        header = render_csv(self._table(1)).splitlines()[0]
+        assert header.split(",") == [f.name for f in dataclasses.fields(PowerRow)]
 
     def test_single_row_csv_has_two_lines(self):
         text = render_csv(self._table(1))
