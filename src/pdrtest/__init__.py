@@ -26,7 +26,6 @@ from .lackfit import (
     ProjectedSample,
     TestReport,
     build_projected,
-    indicator_matrix,
     mc_pvalue,
     mc_replicate,
     pvalue_from_replicates,
@@ -85,7 +84,6 @@ __all__ = [
     "finite_diff_grad",
     "generate",
     "get_family",
-    "indicator_matrix",
     "influence_vectors",
     "load_boston",
     "load_csv",

@@ -6,7 +6,9 @@ empirical law of the projected sample.  Its null distribution is
 approximated by multiplying estimated influence contributions with
 independent standard normal draws; the p-value is the fraction of
 resampled statistics at least as large as the observed one, which makes
-the decision invariant to any common positive rescaling.
+the decision invariant to any common positive rescaling.  The statistic,
+the score mean and the multiplier pass are all dominance sums over the
+projected sample (:func:`dominance_sums`); no n x n array is formed.
 """
 
 from __future__ import annotations
@@ -22,20 +24,105 @@ from .fit import FitResult, influence_vectors, nls_fit
 from .sdr import BasisEstimate, estimate_basis
 
 
+#: Entries of one dense block.  The dominance indicators and the influence
+#: matrix are formed over column blocks, and the multiplier pass over
+#: replicate blocks, of about this many entries each, so that no n x n array
+#: is formed; up to n = 1024 one block holds all columns.
+BLOCK_ELEMENTS = 1 << 20
+
+
+def block_width(n: int) -> int:
+    """Columns, or replicate rows, of one block over n observations."""
+    return max(1, BLOCK_ELEMENTS // n)
+
+
+def tie_runs(col: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Ascending order of ``col`` and, for each entry, the sorted position of
+    the last entry tied with it."""
+    order = np.argsort(col, kind="stable")
+    return order, np.searchsorted(col[order], col, side="right") - 1
+
+
+def sorted_sums(values: np.ndarray, order: np.ndarray, tie_end: np.ndarray) -> np.ndarray:
+    """1-D dominance sums: the cumulative sum of ``values`` along the last
+    axis in ``order``, read at the end of each point's tie run."""
+    out = np.take(values, order, axis=-1)
+    np.cumsum(out, axis=-1, out=out)
+    return np.take(out, tie_end, axis=-1)
+
+
+def indicator_block(points: np.ndarray, cols: slice) -> np.ndarray:
+    """Boolean dominance indicators ``1{points_i <= points_j}`` for every i
+    and the columns j in ``cols``."""
+    out = np.ones((points.shape[0], cols.stop - cols.start), dtype=bool)
+    for c in range(points.shape[1]):
+        col = points[:, c]
+        out &= col[:, None] <= col[None, cols]
+    return out
+
+
+def column_blocks(n: int) -> list[slice]:
+    width = block_width(n)
+    return [slice(lo, min(lo + width, n)) for lo in range(0, n, width)]
+
+
+def block_sums(values: np.ndarray, points: np.ndarray) -> np.ndarray:
+    """Dominance sums over (n, k) points, one dense column block at a time."""
+    n = points.shape[0]
+    out = np.empty(values.shape[:-1] + (n,))
+    for cols in column_blocks(n):
+        out[..., cols] = values @ indicator_block(points, cols)
+    return out
+
+
 @dataclass(frozen=True)
 class ProjectedSample:
-    """Projected covariates and their pairwise dominance indicators.
+    """Projected covariates ``s`` (n, q_hat), the partial covariates ``w``
+    (n, p2), and the sort of the first projection column.
 
-    ``ind_full[i, j]`` is ``1{(s_i, w_i) <= (s_j, w_j)}`` componentwise over
-    all projection columns; ``ind_first`` uses only the first projection
-    column.  Dominance is inclusive, so diagonals are true and tied points
-    dominate each other.  With one projection column the two are one array.
+    ``order`` sorts ``s[:, 0]`` ascending and ``tie_end[j]`` is the sorted
+    position of the last observation tied with j.  Without W the
+    first-column points are one-dimensional, and a dominance sum over them
+    is a cumulative sum in ``order`` read at ``tie_end``.  Dominance is
+    componentwise and inclusive, so tied points dominate each other.
     """
 
     s: np.ndarray
     w: np.ndarray
-    ind_full: np.ndarray
-    ind_first: np.ndarray
+    order: np.ndarray
+    tie_end: np.ndarray
+
+    @classmethod
+    def of(cls, s: np.ndarray, w: np.ndarray) -> "ProjectedSample":
+        """The sample of points ``(s, w)``, arrays (n, q) and (n, p2), with
+        ``s[:, 0]`` sorted."""
+        return cls(s, w, *tie_runs(s[:, 0]))
+
+    def points(self, first_only: bool = False) -> np.ndarray:
+        """Evaluation points ``(s, w)``, or ``(s[:, 0], w)`` with ``first_only``."""
+        return np.column_stack([self.s[:, :1] if first_only else self.s, self.w])
+
+    def dominance_sums(self, values: np.ndarray, first_only: bool = False) -> np.ndarray:
+        """``out[..., j] = sum_i values[..., i] * 1{points_i <= points_j}``
+        over :meth:`points`."""
+        values = np.asarray(values, dtype=float)
+        points = self.points(first_only)
+        if points.shape[1] == 1:
+            return sorted_sums(values, self.order, self.tie_end)
+        return block_sums(values, points)
+
+
+def dominance_sums(values: np.ndarray, points: np.ndarray) -> np.ndarray:
+    """Componentwise dominance sums: ``out[..., j] = sum_i values[..., i] *
+    1{points_i <= points_j}``.
+
+    ``points`` is (n, k) or (n,).  One column is sorted once, in
+    O(n log n) time; more columns are summed over dense column blocks of
+    about ``BLOCK_ELEMENTS`` entries, so memory stays O(block * n).
+    """
+    points = np.asarray(points, dtype=float)
+    points = points.reshape(points.shape[0], -1)
+    return ProjectedSample.of(points[:, :1], points[:, 1:]).dominance_sums(values)
 
 
 @dataclass(frozen=True)
@@ -67,12 +154,14 @@ class TestReport:
 
     def to_record(self) -> dict:
         """Machine-readable record of the run: the basis record (every value
-        ``dim`` prints) plus the test's own values."""
+        ``dim`` prints) plus the test's own values.  ``mc_se`` is the Monte
+        Carlo standard error of ``p_hat``, ``sqrt(p_hat (1 - p_hat) / m)``."""
         reps = self.replicates
         return {
             **self.basis.to_record(),
             "t_n": self.t_n,
             "p_hat": self.p_hat,
+            "mc_se": float(np.sqrt(self.p_hat * (1.0 - self.p_hat) / reps.size)),
             "reject": self.reject,
             "m": reps.size,
             "seed": self.seed,
@@ -88,61 +177,85 @@ class TestReport:
         }
 
 
-def indicator_matrix(points: np.ndarray) -> np.ndarray:
-    """Boolean matrix of componentwise dominance: ``out[i, j] = all(points[i] <= points[j])``."""
-    points = np.atleast_2d(np.asarray(points, dtype=float))
-    n = points.shape[0]
-    out = np.ones((n, n), dtype=bool)
-    for c in range(points.shape[1]):
-        col = points[:, c]
-        out &= col[:, None] <= col[None, :]
-    return out
-
-
 def build_projected(ds: Dataset, basis: BasisEstimate) -> ProjectedSample:
-    """Project the index covariates on the estimated directions and build
-    both dominance-indicator matrices."""
+    """Project the index covariates on the estimated directions and sort
+    the first projection column."""
     if basis.b.shape[0] != ds.p1:
         raise ValueError(f"basis has {basis.b.shape[0]} rows, data has p1={ds.p1}")
-    s = ds.x @ basis.b
-    ind_full = indicator_matrix(np.column_stack([s, ds.w]))
-    if basis.q_hat > 1:
-        ind_first = indicator_matrix(np.column_stack([s[:, :1], ds.w]))
-    else:  # the first column is all of s: both matrices are the same
-        ind_first = ind_full
-    return ProjectedSample(s=s, w=ds.w, ind_full=ind_full, ind_first=ind_first)
+    return ProjectedSample.of(ds.x @ basis.b, ds.w)
 
 
 def tn_statistic(residuals: np.ndarray, proj: ProjectedSample) -> float:
     """Integrated squared residual partial-sum process over the sample points."""
     resid = np.asarray(residuals, dtype=float).reshape(-1)
     n = resid.shape[0]
-    if proj.ind_full.shape != (n, n):
-        raise ValueError(f"{n} residuals but {proj.ind_full.shape} indicators")
-    v = (resid @ proj.ind_full) / np.sqrt(n)
+    if proj.s.shape[0] != n:
+        raise ValueError(f"{n} residuals but {proj.s.shape[0]} projected points")
+    v = proj.dominance_sums(resid) / np.sqrt(n)
     return float(np.mean(v**2))
 
 
-def rho_matrix(fit: FitResult, v_hat: np.ndarray, proj: ProjectedSample) -> np.ndarray:
-    """Influence contributions evaluated at every sample point.
+class InfluenceOperator:
+    """The n x n influence matrix ``a``, held as its factors.
+
+    ``a[i, j] = r_i * 1{p_i <= p_j} - v_i' G_j``, where ``p`` are the
+    first-column points ``(s_first, w)``, ``r`` the residuals, ``v`` the
+    influence vectors and ``G_j`` the indicator-weighted score mean.  Only
+    ``u @ a`` is defined: for (m, n) multipliers it is the dominance sum of
+    ``u * r`` minus ``(u v) G``, an (m, n) array, with no n x n array formed.
+    """
+
+    __array_ufunc__ = None  # ``u @ a`` on an ndarray ``u`` calls __rmatmul__
+
+    def __init__(self, r: np.ndarray, v: np.ndarray, g: np.ndarray, proj: ProjectedSample):
+        self.r, self.v, self.g, self.proj = r, v, g, proj
+        self.shape = (r.shape[0], r.shape[0])
+
+    def __rmatmul__(self, u) -> np.ndarray:
+        u = np.asarray(u, dtype=float)
+        points = self.proj.points(first_only=True)
+        if points.shape[1] == 1:
+            out = self.proj.dominance_sums(u * self.r, first_only=True)
+            out -= (u @ self.v) @ self.g
+            return out
+        out = None
+        for cols in column_blocks(points.shape[0]):
+            a = self.r[:, None] * indicator_block(points, cols)
+            a -= self.v @ self.g[:, cols]
+            if out is None:  # after the block's temporaries are freed: a lower peak
+                out = np.empty(u.shape[:-1] + (points.shape[0],))
+            np.matmul(u, a, out=out[..., cols])
+        return out
+
+
+def rho_matrix(fit: FitResult, v_hat: np.ndarray, proj: ProjectedSample) -> InfluenceOperator:
+    """Influence contributions evaluated at every sample point, as an
+    :class:`InfluenceOperator` of shape (n, n).
 
     Column j corresponds to the evaluation point ``(s_first_j, w_j)``;
     entry (i, j) is the residual of observation i marked by the
     first-column dominance indicator, minus the estimation-effect
     correction ``Ghat_j' v_i`` where ``Ghat_j`` is the indicator-weighted
     score mean.  Only the first projection column enters here: the
-    resampling law targets the single-direction null structure.
+    resampling law targets the single-direction null structure.  The
+    operator holds the residuals, ``v_hat``, ``Ghat`` and the points;
+    ``np.eye(n) @ rho_matrix(...)`` gives the dense matrix.
     """
     n = fit.residuals.shape[0]
-    if proj.ind_first.shape != (n, n):
-        raise ValueError(f"fit has {n} rows but indicators are {proj.ind_first.shape}")
-    g_hat = fit.score.T @ proj.ind_first / n
-    return fit.residuals[:, None] * proj.ind_first - v_hat @ g_hat
+    if proj.s.shape[0] != n:
+        raise ValueError(f"fit has {n} rows but {proj.s.shape[0]} projected points")
+    g_hat = proj.dominance_sums(fit.score.T, first_only=True) / n
+    return InfluenceOperator(fit.residuals, v_hat, g_hat, proj)
 
 
-def mc_replicate(a: np.ndarray, u: np.ndarray) -> float:
+def as_influence(a):
+    """An :class:`InfluenceOperator` as it is; anything else as a float array."""
+    return a if isinstance(a, InfluenceOperator) else np.asarray(a, dtype=float)
+
+
+def mc_replicate(a: InfluenceOperator | np.ndarray, u: np.ndarray) -> float:
     """Resampled statistic for one multiplier vector ``u``."""
-    a = np.asarray(a, dtype=float)
+    a = as_influence(a)
     u = np.asarray(u, dtype=float).reshape(-1)
     n = a.shape[0]
     delta = (u @ a) / np.sqrt(n)
@@ -156,23 +269,33 @@ def pvalue_from_replicates(t_n: float, replicates: np.ndarray) -> float:
 
 
 def mc_pvalue(
-    t_n: float, a: np.ndarray, m: int, seed: int
+    t_n: float, a: InfluenceOperator | np.ndarray, m: int, seed: int
 ) -> tuple[float, np.ndarray]:
     """Monte Carlo p-value of ``t_n`` against ``m`` multiplier replicates.
 
-    Multiplier vector j comes from a substream that depends only on
-    ``(seed, j)``, so the first k replicates are the same for any
-    ``m >= k``.  Returns the p-value and the replicate statistics
-    themselves.
+    ``a`` is the (n, n) influence matrix or the operator
+    :func:`rho_matrix` returns.  Multiplier vector j comes from a
+    substream that depends only on ``(seed, j)``, so the first k
+    replicates are the same for any ``m >= k``.  The multipliers are drawn
+    and applied one block of about ``BLOCK_ELEMENTS`` entries at a time.
+    Returns the p-value and the replicate statistics themselves.
     """
     if m < 1:
         raise ValueError(f"need at least one replicate, got {m}")
-    a = np.asarray(a, dtype=float)
+    a = as_influence(a)
     n = a.shape[0]
-    u = np.empty((m, n))
-    for k, child in enumerate(np.random.SeedSequence(seed).spawn(m)):
-        u[k] = np.random.default_rng(child).standard_normal(n)
-    replicates = np.mean(((u @ a) / np.sqrt(n)) ** 2, axis=1)
+    children = np.random.SeedSequence(seed).spawn(m)
+    replicates = np.empty(m)
+    width = block_width(n)
+    for lo in range(0, m, width):
+        block = children[lo:lo + width]
+        u = np.empty((len(block), n))
+        for k, child in enumerate(block):
+            u[k] = np.random.default_rng(child).standard_normal(n)
+        delta = u @ a
+        delta /= np.sqrt(n)
+        np.square(delta, out=delta)
+        replicates[lo:lo + len(block)] = delta.mean(axis=1)
     return pvalue_from_replicates(t_n, replicates), replicates
 
 

@@ -240,19 +240,23 @@ def test_c7c_loop_oracles():
 
     t_acc = 0.0
     for j in range(n):
-        s = sum(fit.residuals[i] * proj.ind_full[i, j] for i in range(n)) / np.sqrt(n)
+        s = sum(
+            fit.residuals[i] * (np.all(proj.s[i] <= proj.s[j]) and np.all(proj.w[i] <= proj.w[j]))
+            for i in range(n)
+        ) / np.sqrt(n)
         t_acc += s * s
     t_err = abs(tn_statistic(fit.residuals, proj) - t_acc / n)
 
-    a = rho_matrix(fit, v_hat, proj)
+    a = np.eye(n) @ rho_matrix(fit, v_hat, proj)
     a_err = 0.0
     for j in range(n):
         ghat = np.zeros(k)
         for i in range(n):
-            ghat += fit.score[i] * proj.ind_first[i, j]
+            ghat += fit.score[i] * (proj.s[i, 0] <= proj.s[j, 0] and np.all(proj.w[i] <= proj.w[j]))
         ghat /= n
         for i in range(n):
-            want = fit.residuals[i] * proj.ind_first[i, j] - ghat @ v_hat[i]
+            ind = proj.s[i, 0] <= proj.s[j, 0] and np.all(proj.w[i] <= proj.w[j])
+            want = fit.residuals[i] * ind - ghat @ v_hat[i]
             a_err = max(a_err, abs(a[i, j] - want))
     ok = t_err <= 1e-12 and a_err <= 1e-12
     assert verdict(

@@ -86,7 +86,7 @@ class TestCmdTest:
         dim_config, test_config = dim.pop("config"), test.pop("config")
         assert test.items() >= dim.items()
         assert set(test) - set(dim) == {
-            "t_n", "p_hat", "reject", "m", "seed", "alpha", "family", "converged", "mc"}
+            "t_n", "p_hat", "mc_se", "reject", "m", "seed", "alpha", "family", "converged", "mc"}
         assert dim_config == {**test_config, "command": "dim"}
         for record, config in ((dim, dim_config), (test, test_config)):
             assert not set(config) & set(record)

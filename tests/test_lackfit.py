@@ -4,8 +4,13 @@ from __future__ import annotations
 
 import json
 
+import dataclasses
+import tracemalloc
+
+import dense_oracles
 import numpy as np
 import pytest
+from dense_oracles import indicator_matrix
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -18,7 +23,6 @@ from pdrtest import (
     estimate_basis,
     generate,
     get_family,
-    indicator_matrix,
     influence_vectors,
     lackfit,
     mc_pvalue,
@@ -32,16 +36,16 @@ from pdrtest import (
 
 
 def proj_from_points(s, w=None):
-    s = np.asarray(s, dtype=float)
-    if s.ndim == 1:  # a 1-d list means n scalar projection values
-        s = s.reshape(-1, 1)
-    w = np.empty((s.shape[0], 0)) if w is None else np.atleast_2d(np.asarray(w, dtype=float))
-    return ProjectedSample(
-        s=s,
-        w=w,
-        ind_full=indicator_matrix(np.column_stack([s, w])),
-        ind_first=indicator_matrix(np.column_stack([s[:, :1], w])),
-    )
+    s = np.asarray(s, dtype=float).reshape(len(s), -1)  # a 1-d list: n scalar projections
+    return ProjectedSample.of(s, np.empty((s.shape[0], 0)) if w is None else w)
+
+
+def indicators(proj, first_only=False):
+    """The library's dominance indicators: its dominance sums of the unit rows."""
+    n = proj.s.shape[0]
+    sums = proj.dominance_sums(np.eye(n), first_only=first_only)
+    assert np.isin(sums, (0.0, 1.0)).all()
+    return sums == 1.0
 
 
 def indicator_oracle(points):
@@ -63,63 +67,62 @@ def indicator_oracle(points):
 class TestIndicators:
     def test_two_ordered_scalars(self):
         proj = proj_from_points([1.0, 2.0])
-        np.testing.assert_array_equal(proj.ind_full, [[True, True], [False, True]])
+        np.testing.assert_array_equal(indicators(proj), [[True, True], [False, True]])
 
     def test_ties_dominate_mutually(self):
         proj = proj_from_points([1.0, 1.0, 2.0])
-        assert proj.ind_full[0, 1] and proj.ind_full[1, 0]
+        ind = indicators(proj)
+        assert ind[0, 1] and ind[1, 0]
 
     def test_diagonal_always_true(self):
         rng = np.random.default_rng(0)
         proj = proj_from_points(rng.standard_normal((15, 2)), rng.standard_normal((15, 1)))
-        assert proj.ind_full.diagonal().all()
-        assert proj.ind_first.diagonal().all()
+        assert indicators(proj).diagonal().all()
+        assert indicators(proj, first_only=True).diagonal().all()
 
     def test_matches_triple_loop_oracle(self):
         rng = np.random.default_rng(1)
         s = rng.standard_normal((10, 2))
         w = rng.standard_normal((10, 1))
         proj = proj_from_points(s, w)
-        np.testing.assert_array_equal(proj.ind_full, indicator_oracle(np.column_stack([s, w])))
+        np.testing.assert_array_equal(indicators(proj), indicator_oracle(np.column_stack([s, w])))
         np.testing.assert_array_equal(
-            proj.ind_first, indicator_oracle(np.column_stack([s[:, :1], w]))
+            indicators(proj, first_only=True), indicator_oracle(np.column_stack([s[:, :1], w]))
         )
 
     def test_full_dominance_implies_first_column_dominance(self):
         rng = np.random.default_rng(2)
         proj = proj_from_points(rng.standard_normal((12, 3)), rng.standard_normal((12, 1)))
-        assert np.all(proj.ind_first[proj.ind_full])
+        assert np.all(indicators(proj, first_only=True)[indicators(proj)])
 
     def test_single_projection_column_makes_them_equal(self):
         rng = np.random.default_rng(3)
         proj = proj_from_points(rng.standard_normal((12, 1)), rng.standard_normal((12, 2)))
-        np.testing.assert_array_equal(proj.ind_full, proj.ind_first)
+        np.testing.assert_array_equal(indicators(proj), indicators(proj, first_only=True))
 
-    def test_one_direction_builds_one_matrix(self):
+    def test_one_direction_sorts_one_column(self):
         ds = generate(design("ex5c1", 60, 0.0), np.random.default_rng(4))
         basis = estimate_basis(ds)
         assert basis.q_hat == 1
         proj = build_projected(ds, basis)
-        assert proj.ind_first is proj.ind_full
-        np.testing.assert_array_equal(proj.ind_full, indicator_oracle(np.column_stack([proj.s, ds.w])))
+        # the sample holds no n x n array: only s, w and the sort of s[:, 0]
+        assert all(np.asarray(f).size <= 60 * 2 for f in dataclasses.astuple(proj))
+        np.testing.assert_array_equal(proj.order, np.argsort(proj.s[:, 0], kind="stable"))
+        np.testing.assert_array_equal(
+            indicators(proj), indicator_oracle(np.column_stack([proj.s, ds.w])))
 
-    def test_shared_matrix_leaves_run_test_unchanged(self, monkeypatch):
-        ds = generate(design("ex1", 80, 0.4), np.random.default_rng(5))
-        shared = run_test(ds, "linear", m=50, seed=6)
-        assert shared.q_hat == 1
-
-        def separate(ds, basis):
-            s = ds.x @ basis.b
-            return ProjectedSample(
-                s=s, w=ds.w,
-                ind_full=indicator_matrix(np.column_stack([s, ds.w])),
-                ind_first=indicator_matrix(np.column_stack([s[:, :1], ds.w])),
-            )
-
-        monkeypatch.setattr(lackfit, "build_projected", separate)
-        apart = run_test(ds, "linear", m=50, seed=6)
-        assert (shared.t_n, shared.p_hat) == (apart.t_n, apart.p_hat)
-        np.testing.assert_array_equal(shared.replicates, apart.replicates)
+    def test_run_test_matches_dense_oracles(self):
+        for dsg in (design("ex1", 80, 0.4), design("ex5c1", 80, 0.4)):  # without and with W
+            ds = generate(dsg, np.random.default_rng(5))
+            rep = run_test(ds, dsg.null_family, m=50, seed=6)
+            assert rep.q_hat == 1
+            proj = build_projected(ds, rep.basis)
+            v = rep.fit.residuals @ indicator_matrix(proj.points()) / np.sqrt(ds.n)
+            assert rep.t_n == pytest.approx(np.mean(v**2), rel=1e-10)
+            a = dense_oracles.rho_matrix(rep.fit, influence_vectors(rep.fit), proj)
+            want = dense_oracles.mc_replicates(a, 50, 6)
+            np.testing.assert_allclose(rep.replicates, want, rtol=1e-10)
+            assert rep.p_hat == np.mean(want >= rep.t_n)
 
     def test_build_projected_uses_basis(self):
         rng = np.random.default_rng(4)
@@ -127,7 +130,114 @@ class TestIndicators:
         basis = estimate_basis(ds)
         proj = build_projected(ds, basis)
         np.testing.assert_allclose(proj.s, ds.x @ basis.b)
-        assert proj.ind_full.shape == (60, 60)
+        assert proj.order.shape == proj.tie_end.shape == (60,)
+
+
+def assert_rel(got, want, rel=1e-10):
+    """Agreement within ``rel`` relative to the largest entry of ``want``."""
+    assert np.shape(got) == np.shape(want)
+    err = np.max(np.abs(np.asarray(got) - want), initial=0.0)
+    assert err <= rel * np.max(np.abs(want), initial=0.0), err
+
+
+def draw_points(rng, n, k, kind):
+    """n points in k dimensions: continuous, tied on a 3-value grid, or
+    drawn with repetition from a few distinct rows."""
+    if kind == "random":
+        return rng.standard_normal((n, k))
+    if kind == "tied":
+        return rng.integers(0, 3, (n, k)).astype(float)
+    pool = rng.standard_normal((max(1, n // 4), k))
+    return pool[rng.integers(0, pool.shape[0], n)]
+
+
+def blocks_of(monkeypatch, n, width):
+    """Make every column and replicate block ``width`` wide at this n."""
+    monkeypatch.setattr(lackfit, "BLOCK_ELEMENTS", n * width)
+    assert lackfit.block_width(n) == width
+
+
+class TestDominanceSums:
+    @given(n=st.integers(1, 40), k=st.integers(1, 3),
+           kind=st.sampled_from(["random", "tied", "duplicated"]),
+           width=st.integers(1, 45), seed=st.integers(0, 2**32 - 1))
+    @settings(max_examples=300, deadline=None)
+    def test_matches_dense_oracle(self, n, k, kind, width, seed):
+        rng = np.random.default_rng(seed)
+        points = draw_points(rng, n, k, kind)
+        values = rng.standard_normal((3, n))
+        ind = indicator_matrix(points)
+        with pytest.MonkeyPatch.context() as mp:
+            blocks_of(mp, n, width)
+            assert_rel(lackfit.dominance_sums(values, points), values @ ind)
+            assert_rel(lackfit.dominance_sums(values[0], points), values[0] @ ind)
+
+    def test_one_column_needs_no_block(self, monkeypatch):
+        # the 1-D path is a sort: any block width gives the same sums
+        rng = np.random.default_rng(24)
+        points = rng.integers(0, 50, 300).astype(float)
+        values = rng.standard_normal(300)
+        want = lackfit.dominance_sums(values, points)
+        blocks_of(monkeypatch, 300, 1)
+        np.testing.assert_array_equal(lackfit.dominance_sums(values, points), want)
+        assert_rel(want, values @ indicator_matrix(points[:, None]))
+
+    def test_ties_read_at_end_of_run(self):
+        sums = lackfit.dominance_sums(np.array([1.0, 10.0, 100.0, 1000.0]),
+                                      np.array([2.0, 1.0, 2.0, 3.0]))
+        np.testing.assert_array_equal(sums, [111.0, 10.0, 111.0, 1111.0])
+
+
+class TestInfluenceOperator:
+    @given(case=st.sampled_from(["ex1", "ex3", "ex5c1", "ex5c3"]), n=st.integers(30, 60),
+           width=st.integers(1, 70), seed=st.integers(0, 2**32 - 1))
+    @settings(max_examples=40, deadline=None)
+    def test_dense_form_matches_oracle(self, case, n, width, seed):
+        ds, fit, proj = fitted_instance(case, n, 0.4, seed)
+        v = influence_vectors(fit)
+        with pytest.MonkeyPatch.context() as mp:
+            blocks_of(mp, n, width)
+            a = rho_matrix(fit, v, proj)
+            assert a.shape == (n, n)
+            assert_rel(np.eye(n) @ a, dense_oracles.rho_matrix(fit, v, proj))
+
+    @given(case=st.sampled_from(["ex1", "ex3", "ex5c1", "ex5c3"]), n=st.integers(30, 60),
+           m=st.integers(1, 90), width=st.integers(1, 70), seed=st.integers(0, 2**32 - 1))
+    @settings(max_examples=40, deadline=None)
+    def test_mc_pvalue_matches_dense_product(self, case, n, m, width, seed):
+        ds, fit, proj = fitted_instance(case, n, 0.4, seed)
+        v = influence_vectors(fit)
+        t_n = tn_statistic(fit.residuals, proj)
+        with pytest.MonkeyPatch.context() as mp:
+            blocks_of(mp, n, width)
+            p, reps = mc_pvalue(t_n, rho_matrix(fit, v, proj), m, seed)
+        want = dense_oracles.mc_replicates(dense_oracles.rho_matrix(fit, v, proj), m, seed)
+        assert_rel(reps, want)
+        assert p == np.mean(want >= t_n)
+
+    def test_two_w_columns_and_two_directions(self, monkeypatch):
+        rng = np.random.default_rng(25)
+        s, w = rng.standard_normal((50, 2)), rng.integers(0, 4, (50, 2)).astype(float)
+        proj = ProjectedSample.of(s, w)
+        fit = nls_fit(Dataset(y=rng.standard_normal(50), x=s, w=w), get_family("linear", 2, 2))
+        v = influence_vectors(fit)
+        blocks_of(monkeypatch, 50, 7)
+        assert_rel(np.eye(50) @ rho_matrix(fit, v, proj), dense_oracles.rho_matrix(fit, v, proj))
+        assert tn_statistic(fit.residuals, proj) == pytest.approx(
+            np.mean((fit.residuals @ indicator_matrix(proj.points())) ** 2) / 50, rel=1e-10)
+
+    def test_w_free_run_at_fifty_thousand(self):
+        # the dense influence matrix alone would take 8 n^2 = 20 GB here
+        ds = generate(design("ex1", 50_000, 0.4), np.random.default_rng(26))
+        tracemalloc.start()
+        try:
+            rep = run_test(ds, "linear", m=20, seed=27)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert rep.q_hat == 1 and rep.replicates.shape == (20,)
+        assert rep.t_n > 0.0 and rep.reject
+        assert peak < 100e6, f"tracemalloc peak {peak / 1e6:.0f} MB"
 
 
 class TestTnStatistic:
@@ -148,9 +258,10 @@ class TestTnStatistic:
         resid = rng.standard_normal(14)
         proj = proj_from_points(rng.standard_normal((14, 2)), rng.standard_normal((14, 1)))
         n = 14
+        ind = indicator_oracle(proj.points())
         acc = 0.0
         for j in range(n):
-            v = sum(resid[i] * proj.ind_full[i, j] for i in range(n)) / np.sqrt(n)
+            v = sum(resid[i] * ind[i, j] for i in range(n)) / np.sqrt(n)
             acc += v * v
         assert tn_statistic(resid, proj) == pytest.approx(acc / n, abs=1e-12)
 
@@ -184,7 +295,7 @@ class TestRhoMatrix:
         fit = nls_fit(ds, get_family("linear", 3, 0))
         proj = build_projected(ds, estimate_basis(ds))
         v = influence_vectors(fit)
-        a = rho_matrix(fit, v, proj)
+        a = np.eye(20) @ rho_matrix(fit, v, proj)
         np.testing.assert_allclose(a, np.zeros_like(a), atol=1e-8)
 
     def test_score_mean_at_maximal_point(self):
@@ -194,26 +305,28 @@ class TestRhoMatrix:
         # sample point always exists
         ds, fit, proj = fitted_instance(case="ex1")
         v = influence_vectors(fit)
-        a = rho_matrix(fit, v, proj)
-        col_all_ones = np.flatnonzero(proj.ind_first.all(axis=0))
+        a = np.eye(ds.n) @ rho_matrix(fit, v, proj)
+        ind = indicator_oracle(proj.points(first_only=True))
+        col_all_ones = np.flatnonzero(ind.all(axis=0))
         assert col_all_ones.size >= 1
         j = int(col_all_ones[0])
-        want = fit.residuals * proj.ind_first[:, j] - v @ fit.score.mean(axis=0)
+        want = fit.residuals * ind[:, j] - v @ fit.score.mean(axis=0)
         np.testing.assert_allclose(a[:, j], want, atol=1e-12)
 
     def test_matches_triple_loop_oracle(self):
         ds, fit, proj = fitted_instance(n=8, a=0.4, seed=8)
         v = influence_vectors(fit)
-        a = rho_matrix(fit, v, proj)
         n, k = fit.score.shape
+        a = np.eye(n) @ rho_matrix(fit, v, proj)
+        ind = indicator_oracle(proj.points(first_only=True))
         oracle = np.zeros((n, n))
         for j in range(n):
             ghat = np.zeros(k)
             for i in range(n):
-                ghat += fit.score[i] * proj.ind_first[i, j]
+                ghat += fit.score[i] * ind[i, j]
             ghat /= n
             for i in range(n):
-                oracle[i, j] = fit.residuals[i] * proj.ind_first[i, j] - ghat @ v[i]
+                oracle[i, j] = fit.residuals[i] * ind[i, j] - ghat @ v[i]
         np.testing.assert_allclose(a, oracle, atol=1e-12)
 
 
@@ -312,7 +425,7 @@ class TestRunTest:
         # the test record is the basis record plus the test's own values
         assert rec.items() >= rep.basis.to_record().items()
         assert set(rec) - set(rep.basis.to_record()) == {
-            "t_n", "p_hat", "reject", "m", "seed", "alpha", "family", "converged", "mc"}
+            "t_n", "p_hat", "mc_se", "reject", "m", "seed", "alpha", "family", "converged", "mc"}
         # the CLI's JSON report is this record plus the data provenance
         path = tmp_path / "ex1.csv"
         np.savetxt(path, np.column_stack([ds.y, ds.x]), delimiter=",",
@@ -329,6 +442,13 @@ class TestRunTest:
                              "median": np.median(rep.replicates), "max": rep.replicates.max()}
         assert rep.reject == (rep.p_hat <= 0.1)
         assert rep.t_n >= 0.0
+
+    def test_mc_standard_error_hand_value(self):
+        ds = generate(design("ex1", 50, 0.0), np.random.default_rng(17))
+        rep = dataclasses.replace(run_test(ds, "linear", m=30, seed=7),
+                                  p_hat=0.25, replicates=np.ones(300))
+        # sqrt(0.25 * 0.75 / 300) = 0.025
+        assert rep.to_record()["mc_se"] == pytest.approx(0.025, rel=1e-14)
 
     def test_alpha_validated(self):
         ds = generate(design("ex1", 50, 0.0), np.random.default_rng(18))
@@ -384,6 +504,7 @@ class TestRunTest:
         assert t1 == pytest.approx(t0, abs=1e-10)
         # influence matrix is permutation-similar, so every replicate
         # statistic matches when the multipliers are permuted consistently
-        np.testing.assert_allclose(a1, a0[np.ix_(perm, perm)], atol=1e-10)
+        eye = np.eye(ds.n)
+        np.testing.assert_allclose(eye @ a1, (eye @ a0)[np.ix_(perm, perm)], atol=1e-10)
         u = np.random.default_rng(21).standard_normal(ds.n)
         assert mc_replicate(a1, u[perm]) == pytest.approx(mc_replicate(a0, u), abs=1e-10)
