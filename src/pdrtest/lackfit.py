@@ -8,7 +8,8 @@ independent standard normal draws; the p-value is the fraction of
 resampled statistics at least as large as the observed one, which makes
 the decision invariant to any common positive rescaling.  The statistic,
 the score mean and the multiplier pass are all dominance sums over the
-projected sample (:func:`dominance_sums`); no n x n array is formed.
+projected sample (:func:`dominance_sums`, and :class:`InfluenceOperator`
+for the multipliers); no n x n array is formed.
 """
 
 from __future__ import annotations
@@ -25,10 +26,17 @@ from .sdr import BasisEstimate, estimate_basis
 
 
 #: Entries of one dense block.  The dominance indicators and the influence
-#: matrix are formed over column blocks, and the multiplier pass over
+#: matrix are formed over column blocks, and the multiplier pass with W over
 #: replicate blocks, of about this many entries each, so that no n x n array
 #: is formed; up to n = 1024 one block holds all columns.
 BLOCK_ELEMENTS = 1 << 20
+
+
+#: Entries of one multiplier block on the W-free path of :func:`mc_pvalue`:
+#: 512 KB of float64, so that a block and its sorted copy stay in a core's
+#: L2 cache.  A sweep of 2^15 to 2^18 at n = 8000 and 2000 (2 cores, 2 MB L2
+#: each) was flat to within noise from 2^15 to 2^17 and slower above.
+CACHE_ELEMENTS = 1 << 16
 
 
 def block_width(n: int) -> int:
@@ -201,23 +209,65 @@ class InfluenceOperator:
     ``a[i, j] = r_i * 1{p_i <= p_j} - v_i' G_j``, where ``p`` are the
     first-column points ``(s_first, w)``, ``r`` the residuals, ``v`` the
     influence vectors and ``G_j`` the indicator-weighted score mean.  Only
-    ``u @ a`` is defined: for (m, n) multipliers it is the dominance sum of
-    ``u * r`` minus ``(u v) G``, an (m, n) array, with no n x n array formed.
+    ``u @ a`` is defined, an (m, n) array for (m, n) multipliers, and no
+    n x n array is formed.
+
+    Without W the points are the first projection column alone, and
+    :meth:`sorted_pass` computes ``u @ a`` in the column's sorted order:
+    it gathers ``x = u[:, order]``, takes ``c = x @ v_sorted``, multiplies
+    ``x`` by ``r_sorted``, takes the cumulative sum of ``x`` in place and
+    subtracts ``c @ G_sorted``.  At the last sorted position of each tie
+    run, ``x`` then equals ``u @ a`` for every point of the run; elsewhere
+    it is a partial sum.  ``__rmatmul__`` gathers those positions through
+    ``tie_end``.  ``weights[t]`` is the length of the tie run that ends at
+    sorted position t and 0 elsewhere, so ``(x * x) @ weights`` is the
+    row-wise sum of squares of ``u @ a`` with no gather back and no branch
+    on ties.  The sorted factors and the weights are built once, here.
+    With W the operator forms column blocks of ``a`` from the indicators.
     """
 
     __array_ufunc__ = None  # ``u @ a`` on an ndarray ``u`` calls __rmatmul__
 
     def __init__(self, r: np.ndarray, v: np.ndarray, g: np.ndarray, proj: ProjectedSample):
+        n = r.shape[0]
         self.r, self.v, self.g, self.proj = r, v, g, proj
-        self.shape = (r.shape[0], r.shape[0])
+        self.shape = (n, n)
+        self.weights = None
+        if proj.w.shape[1] == 0:
+            order = proj.order
+            self.r_sorted, self.v_sorted, self.g_sorted = r[order], v[order], g[:, order]
+            self.weights = np.bincount(proj.tie_end, minlength=n).astype(float)
+
+    def sorted_pass(self, u: np.ndarray, x: np.ndarray, scratch: np.ndarray | None = None) -> np.ndarray:
+        """``u @ a`` in sorted order, written to ``x`` (W-free operators only).
+
+        ``x`` has the shape of ``u``; position t holds ``u @ a`` of the
+        points whose tie run ends at t.  ``scratch``, of the same shape, takes
+        the correction product; it may be ``u`` itself, which is then
+        overwritten.
+        """
+        # "clip" on indices that are all valid: the default "raise" buffers ``out``
+        np.take(u, self.proj.order, axis=-1, out=x, mode="clip")
+        c = x @ self.v_sorted
+        x *= self.r_sorted
+        np.cumsum(x, axis=-1, out=x)
+        x -= np.matmul(c, self.g_sorted, out=scratch)
+        return x
+
+    def square_sums(self, u: np.ndarray, x: np.ndarray) -> np.ndarray:
+        """Row-wise sums of squares of ``u @ a`` for (k, n) multipliers ``u``
+        (W-free operators only).  ``x`` (k, n) is the working buffer and
+        ``u`` is overwritten."""
+        x = self.sorted_pass(u, x, scratch=u)
+        np.square(x, out=x)
+        return x @ self.weights
 
     def __rmatmul__(self, u) -> np.ndarray:
         u = np.asarray(u, dtype=float)
+        if self.weights is not None:
+            x = self.sorted_pass(u, np.empty(u.shape))
+            return np.take(x, self.proj.tie_end, axis=-1)
         points = self.proj.points(first_only=True)
-        if points.shape[1] == 1:
-            out = self.proj.dominance_sums(u * self.r, first_only=True)
-            out -= (u @ self.v) @ self.g
-            return out
         out = None
         for cols in column_blocks(points.shape[0]):
             a = self.r[:, None] * indicator_block(points, cols)
@@ -276,26 +326,40 @@ def mc_pvalue(
     ``a`` is the (n, n) influence matrix or the operator
     :func:`rho_matrix` returns.  Multiplier vector j comes from a
     substream that depends only on ``(seed, j)``, so the first k
-    replicates are the same for any ``m >= k``.  The multipliers are drawn
-    and applied one block of about ``BLOCK_ELEMENTS`` entries at a time.
-    Returns the p-value and the replicate statistics themselves.
+    replicates are the same for any ``m >= k``.  Replicate j is the sum of
+    squares of ``u_j @ a`` over n^2.
+
+    The multipliers are drawn into one reused block buffer.  A W-free
+    operator takes blocks of about ``CACHE_ELEMENTS`` entries (8 rows at
+    n = 8000), so that the draws and the sorted copy of
+    :meth:`InfluenceOperator.square_sums` stay in cache; its tie weights
+    count every point of a tie run at the run's last sorted position.
+    Otherwise blocks have about ``BLOCK_ELEMENTS`` entries and each is one
+    ``u @ a``.  Returns the p-value and the replicate statistics themselves.
     """
     if m < 1:
         raise ValueError(f"need at least one replicate, got {m}")
     a = as_influence(a)
     n = a.shape[0]
+    w_free = isinstance(a, InfluenceOperator) and a.weights is not None
+    rows = min(m, max(1, CACHE_ELEMENTS // n) if w_free else block_width(n))
     children = np.random.SeedSequence(seed).spawn(m)
     replicates = np.empty(m)
-    width = block_width(n)
-    for lo in range(0, m, width):
-        block = children[lo:lo + width]
-        u = np.empty((len(block), n))
-        for k, child in enumerate(block):
-            u[k] = np.random.default_rng(child).standard_normal(n)
-        delta = u @ a
-        delta /= np.sqrt(n)
-        np.square(delta, out=delta)
-        replicates[lo:lo + len(block)] = delta.mean(axis=1)
+    # allocate the buffers after the substreams: in the other order, about 150
+    # repeated n = 506 tests in one process raised its peak RSS by 5 MB
+    u = np.empty((rows, n))
+    x = np.empty_like(u) if w_free else None
+    for lo in range(0, m, rows):
+        block = children[lo:lo + rows]
+        k = len(block)
+        for row, child in zip(u, block):
+            np.random.default_rng(child).standard_normal(out=row)
+        if w_free:
+            replicates[lo:lo + k] = a.square_sums(u[:k], x[:k])
+        else:
+            delta = u[:k] @ a
+            replicates[lo:lo + k] = np.einsum("ij,ij->i", delta, delta)
+    replicates /= n * n
     return pvalue_from_replicates(t_n, replicates), replicates
 
 

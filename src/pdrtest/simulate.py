@@ -347,6 +347,12 @@ def read_experiment_spec(path: str | Path) -> ExperimentSpec:
         raise DataError(f"{path}: {exc}") from None
     if spec.case not in CASES:
         raise DataError(f"{path}: unknown case id {spec.case!r}; known: {', '.join(CASES)}")
+    if min(spec.n) < 3:
+        raise DataError(f"{path}: n must be at least 3, got {min(spec.n)}")
+    for key, values in (("n", spec.n), ("a", spec.a)):
+        repeated = sorted({v for v in values if values.count(v) > 1})
+        if repeated:
+            raise DataError(f"{path}: repeated {key} value(s): {', '.join(map(str, repeated))}")
     if not 0.0 < spec.alpha < 1.0:
         raise DataError(f"{path}: alpha must be in (0, 1), got {spec.alpha}")
     if spec.reps < 1 or spec.mc_reps < 1:

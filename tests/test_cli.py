@@ -225,6 +225,16 @@ class TestCmdSimulate:
         spec = self._spec(tmp_path, case="exo")
         assert main(["simulate", "--spec", spec]) == EXIT_DATA
 
+    @pytest.mark.parametrize("overrides, message", [
+        ({"n": "40, 2"}, "n must be at least 3, got 2"),
+        ({"n": "40, 60, 40"}, "repeated n value(s): 40"),
+        ({"a": "0, 0.8, 0.80"}, "repeated a value(s): 0.8"),
+    ])
+    def test_bad_grid_is_data_error_naming_spec(self, overrides, message, tmp_path, capsys):
+        spec = self._spec(tmp_path, **overrides)
+        assert main(["simulate", "--spec", spec]) == EXIT_DATA
+        assert f"{spec}: {message}" in capsys.readouterr().err
+
     @pytest.mark.parametrize("workers", ["0", "-2"])
     def test_workers_below_one_is_config_error(self, workers, tmp_path, capsys):
         spec = self._spec(tmp_path)

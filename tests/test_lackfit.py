@@ -6,12 +6,13 @@ import json
 
 import dataclasses
 import tracemalloc
+from types import SimpleNamespace
 
 import dense_oracles
 import numpy as np
 import pytest
 from dense_oracles import indicator_matrix
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from pdrtest import (
@@ -152,8 +153,10 @@ def draw_points(rng, n, k, kind):
 
 
 def blocks_of(monkeypatch, n, width):
-    """Make every column and replicate block ``width`` wide at this n."""
+    """Make every column and replicate block ``width`` wide at this n, on
+    the W path and the W-free path of ``mc_pvalue``."""
     monkeypatch.setattr(lackfit, "BLOCK_ELEMENTS", n * width)
+    monkeypatch.setattr(lackfit, "CACHE_ELEMENTS", n * width)
     assert lackfit.block_width(n) == width
 
 
@@ -186,6 +189,16 @@ class TestDominanceSums:
         sums = lackfit.dominance_sums(np.array([1.0, 10.0, 100.0, 1000.0]),
                                       np.array([2.0, 1.0, 2.0, 3.0]))
         np.testing.assert_array_equal(sums, [111.0, 10.0, 111.0, 1111.0])
+
+
+def w_free_operator(rng, n, k, kind):
+    """A W-free influence operator over n points of the given kind in k
+    projection columns (only the first enters), with random residuals,
+    scores and influence vectors, and its dense oracle."""
+    proj = ProjectedSample.of(draw_points(rng, n, k, kind), np.empty((n, 0)))
+    fit = SimpleNamespace(residuals=rng.standard_normal(n), score=rng.standard_normal((n, 3)))
+    v = rng.standard_normal((n, 3))
+    return rho_matrix(fit, v, proj), dense_oracles.rho_matrix(fit, v, proj)
 
 
 class TestInfluenceOperator:
@@ -225,6 +238,42 @@ class TestInfluenceOperator:
         assert_rel(np.eye(50) @ rho_matrix(fit, v, proj), dense_oracles.rho_matrix(fit, v, proj))
         assert tn_statistic(fit.residuals, proj) == pytest.approx(
             np.mean((fit.residuals @ indicator_matrix(proj.points())) ** 2) / 50, rel=1e-10)
+
+    @given(n=st.integers(1, 40), k=st.integers(1, 2),
+           kind=st.sampled_from(["random", "tied", "duplicated"]),
+           m=st.integers(1, 60), rows=st.integers(1, 25), seed=st.integers(0, 2**32 - 1))
+    @example(n=12, k=1, kind="tied", m=7, rows=3, seed=1)  # m not a multiple of the rows
+    @settings(max_examples=100, deadline=None)
+    def test_sorted_statistic_matches_dense_replicates(self, n, k, kind, m, rows, seed):
+        a, dense = w_free_operator(np.random.default_rng(seed), n, k, kind)
+        with pytest.MonkeyPatch.context() as mp:
+            blocks_of(mp, n, rows)
+            _, reps = mc_pvalue(0.0, a, m, seed)
+        assert_rel(reps, dense_oracles.mc_replicates(dense, m, seed))
+
+    @given(n=st.integers(1, 40), k=st.integers(1, 2),
+           kind=st.sampled_from(["random", "tied", "duplicated"]), seed=st.integers(0, 2**32 - 1))
+    @example(n=12, k=1, kind="tied", seed=1)
+    @settings(max_examples=100, deadline=None)
+    def test_sorted_pass_readouts_match_dense_matrix(self, n, k, kind, seed):
+        rng = np.random.default_rng(seed)
+        a, dense = w_free_operator(rng, n, k, kind)
+        assert_rel(np.eye(n) @ a, dense)
+        u = rng.standard_normal((5, n))
+        assert_rel(u @ a, u @ dense)
+        assert_rel(a.square_sums(u.copy(), np.empty_like(u)), np.sum((u @ dense) ** 2, axis=1))
+
+    def test_w_free_mc_pvalue_memory_at_eight_thousand(self):
+        ds, fit, proj = fitted_instance("ex1", 8000, 0.6, 28)
+        a = rho_matrix(fit, influence_vectors(fit), proj)
+        tracemalloc.start()
+        try:
+            _, reps = mc_pvalue(1.0, a, 1000, 29)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert reps.shape == (1000,)
+        assert peak < 10e6, f"tracemalloc peak {peak / 1e6:.1f} MB"
 
     def test_w_free_run_at_fifty_thousand(self):
         # the dense influence matrix alone would take 8 n^2 = 20 GB here
