@@ -8,8 +8,8 @@ independent standard normal draws; the p-value is the fraction of
 resampled statistics at least as large as the observed one, which makes
 the decision invariant to any common positive rescaling.  The statistic,
 the score mean and the multiplier pass are all dominance sums over the
-projected sample (:func:`dominance_sums`, and :class:`InfluenceOperator`
-for the multipliers); no n x n array is formed.
+projected sample, each computed by one :class:`DominanceKernel` per point
+set; no n x n array is formed.
 """
 
 from __future__ import annotations
@@ -25,38 +25,22 @@ from .fit import FitResult, influence_vectors, nls_fit
 from .sdr import BasisEstimate, estimate_basis
 
 
-#: Entries of one dense block.  The dominance indicators and the influence
-#: matrix are formed over column blocks, and the multiplier pass with W over
-#: replicate blocks, of about this many entries each, so that no n x n array
-#: is formed; up to n = 1024 one block holds all columns.
+#: Entries of one dense block: the block kernel's column blocks and its
+#: multiplier blocks, so that no n x n array is formed (up to n = 1024 one
+#: block holds all columns).
 BLOCK_ELEMENTS = 1 << 20
 
 
-#: Entries of one multiplier block on the W-free path of :func:`mc_pvalue`:
-#: 512 KB of float64, so that a block and its sorted copy stay in a core's
-#: L2 cache.  A sweep of 2^15 to 2^18 at n = 8000 and 2000 (2 cores, 2 MB L2
-#: each) was flat to within noise from 2^15 to 2^17 and slower above.
+#: Entries of one multiplier block over the sorted kernel: 512 KB of
+#: float64, so that a block and its sorted copy stay in a core's L2 cache.
+#: A sweep of 2^15 to 2^18 at n = 8000 and 2000 (2 cores, 2 MB L2 each) was
+#: flat to within noise from 2^15 to 2^17 and slower above.
 CACHE_ELEMENTS = 1 << 16
 
 
 def block_width(n: int) -> int:
     """Columns, or replicate rows, of one block over n observations."""
     return max(1, BLOCK_ELEMENTS // n)
-
-
-def tie_runs(col: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Ascending order of ``col`` and, for each entry, the sorted position of
-    the last entry tied with it."""
-    order = np.argsort(col, kind="stable")
-    return order, np.searchsorted(col[order], col, side="right") - 1
-
-
-def sorted_sums(values: np.ndarray, order: np.ndarray, tie_end: np.ndarray) -> np.ndarray:
-    """1-D dominance sums: the cumulative sum of ``values`` along the last
-    axis in ``order``, read at the end of each point's tie run."""
-    out = np.take(values, order, axis=-1)
-    np.cumsum(out, axis=-1, out=out)
-    return np.take(out, tie_end, axis=-1)
 
 
 def indicator_block(points: np.ndarray, cols: slice) -> np.ndarray:
@@ -74,63 +58,113 @@ def column_blocks(n: int) -> list[slice]:
     return [slice(lo, min(lo + width, n)) for lo in range(0, n, width)]
 
 
-def block_sums(values: np.ndarray, points: np.ndarray) -> np.ndarray:
-    """Dominance sums over (n, k) points, one dense column block at a time."""
-    n = points.shape[0]
-    out = np.empty(values.shape[:-1] + (n,))
-    for cols in column_blocks(n):
-        out[..., cols] = values @ indicator_block(points, cols)
-    return out
+class DominanceKernel:
+    """Dominance sums ``out[..., j] = sum_i values[..., i] * 1{points_i <=
+    points_j}`` over fixed (n, k) ``points``, computed in slot order.
+
+    ``gather(values, out)`` puts values, along the last axis, into slot
+    order, and ``accumulate(x, out)`` turns them into slot sums.  Point j's
+    sum is in slot ``slot_of[j]``, and ``weights[t]`` counts the points
+    whose sum slot t holds, so ``y @ weights`` adds each point's sum once.
+    ``rows`` is the replicate rows of one multiplier block.
+    """
+
+    def slot_sums(self, values: np.ndarray) -> np.ndarray:
+        """Dominance sums of ``values`` in slot order."""
+        x = self.gather(values, np.empty(np.shape(values)))
+        return self.accumulate(x, np.empty_like(x))
+
+    def sums(self, values: np.ndarray) -> np.ndarray:
+        """Dominance sums of ``values``, point by point."""
+        return np.take(self.slot_sums(values), self.slot_of, axis=-1)
+
+
+class SortedKernel(DominanceKernel):
+    """One column of points: slot t is sorted position t, and point j's sum
+    is the cumulative sum read at the last position of its tie run.  Slots
+    inside a run hold partial sums and have weight 0."""
+
+    def __init__(self, points: np.ndarray):
+        col, self.points, self.n = points[:, 0], points, points.shape[0]
+        self.order = np.argsort(col, kind="stable")
+        self.slot_of = np.searchsorted(col[self.order], col, side="right") - 1
+        self.weights = np.bincount(self.slot_of, minlength=self.n).astype(float)
+
+    @property
+    def rows(self) -> int:
+        return max(1, CACHE_ELEMENTS // self.n)
+
+    def gather(self, values: np.ndarray, out: np.ndarray) -> np.ndarray:
+        # "clip" on indices that are all valid: the default "raise" buffers ``out``
+        return np.take(values, self.order, axis=-1, out=out, mode="clip")
+
+    def accumulate(self, x: np.ndarray, out: np.ndarray) -> np.ndarray:
+        return np.cumsum(x, axis=-1, out=out)
+
+
+class BlockKernel(DominanceKernel):
+    """Two or more columns of points: slot j is point j, and the sums are
+    products with dense column blocks of the indicators, so memory stays
+    O(block * n)."""
+
+    def __init__(self, points: np.ndarray):
+        self.points, self.n = points, points.shape[0]
+        self.slot_of, self.weights = np.arange(self.n), np.ones(self.n)
+
+    @property
+    def rows(self) -> int:
+        return block_width(self.n)
+
+    def gather(self, values: np.ndarray, out: np.ndarray) -> np.ndarray:
+        np.copyto(out, values)
+        return out
+
+    def accumulate(self, x: np.ndarray, out: np.ndarray) -> np.ndarray:
+        for cols in column_blocks(self.n):
+            np.matmul(x, indicator_block(self.points, cols), out=out[..., cols])
+        return out
+
+
+def dominance_kernel(points: np.ndarray) -> DominanceKernel:
+    """The kernel over (n, k) ``points``: a sort for one column, dense
+    indicator blocks for more."""
+    return (SortedKernel if points.shape[1] == 1 else BlockKernel)(points)
 
 
 @dataclass(frozen=True)
 class ProjectedSample:
     """Projected covariates ``s`` (n, q_hat), the partial covariates ``w``
-    (n, p2), and the sort of the first projection column.
-
-    ``order`` sorts ``s[:, 0]`` ascending and ``tie_end[j]`` is the sorted
-    position of the last observation tied with j.  Without W the
-    first-column points are one-dimensional, and a dominance sum over them
-    is a cumulative sum in ``order`` read at ``tie_end``.  Dominance is
-    componentwise and inclusive, so tied points dominate each other.
+    (n, p2), and the dominance kernels over ``(s, w)`` (``full``, for the
+    statistic) and over ``(s[:, 0], w)`` (``first``, for the score mean and
+    the influence operator), built once; with one projection column they
+    are one object.  Dominance is componentwise and inclusive.
     """
 
     s: np.ndarray
     w: np.ndarray
-    order: np.ndarray
-    tie_end: np.ndarray
+    full: DominanceKernel
+    first: DominanceKernel
 
     @classmethod
     def of(cls, s: np.ndarray, w: np.ndarray) -> "ProjectedSample":
-        """The sample of points ``(s, w)``, arrays (n, q) and (n, p2), with
-        ``s[:, 0]`` sorted."""
-        return cls(s, w, *tie_runs(s[:, 0]))
+        """The sample of points ``(s, w)``, arrays (n, q) and (n, p2)."""
+        first = dominance_kernel(np.column_stack([s[:, :1], w]))
+        return cls(s, w, first if s.shape[1] == 1 else dominance_kernel(np.column_stack([s, w])), first)
 
     def points(self, first_only: bool = False) -> np.ndarray:
         """Evaluation points ``(s, w)``, or ``(s[:, 0], w)`` with ``first_only``."""
-        return np.column_stack([self.s[:, :1] if first_only else self.s, self.w])
+        return (self.first if first_only else self.full).points
 
     def dominance_sums(self, values: np.ndarray, first_only: bool = False) -> np.ndarray:
         """``out[..., j] = sum_i values[..., i] * 1{points_i <= points_j}``
         over :meth:`points`."""
-        values = np.asarray(values, dtype=float)
-        points = self.points(first_only)
-        if points.shape[1] == 1:
-            return sorted_sums(values, self.order, self.tie_end)
-        return block_sums(values, points)
+        return (self.first if first_only else self.full).sums(values)
 
 
 def dominance_sums(values: np.ndarray, points: np.ndarray) -> np.ndarray:
-    """Componentwise dominance sums: ``out[..., j] = sum_i values[..., i] *
-    1{points_i <= points_j}``.
-
-    ``points`` is (n, k) or (n,).  One column is sorted once, in
-    O(n log n) time; more columns are summed over dense column blocks of
-    about ``BLOCK_ELEMENTS`` entries, so memory stays O(block * n).
-    """
+    """:meth:`DominanceKernel.sums` over ``points``, (n, k) or (n,)."""
     points = np.asarray(points, dtype=float)
-    points = points.reshape(points.shape[0], -1)
-    return ProjectedSample.of(points[:, :1], points[:, 1:]).dominance_sums(values)
+    return dominance_kernel(points.reshape(points.shape[0], -1)).sums(values)
 
 
 @dataclass(frozen=True)
@@ -186,8 +220,8 @@ class TestReport:
 
 
 def build_projected(ds: Dataset, basis: BasisEstimate) -> ProjectedSample:
-    """Project the index covariates on the estimated directions and sort
-    the first projection column."""
+    """Project the index covariates on the estimated directions and build
+    the sample's dominance kernels."""
     if basis.b.shape[0] != ds.p1:
         raise ValueError(f"basis has {basis.b.shape[0]} rows, data has p1={ds.p1}")
     return ProjectedSample.of(ds.x @ basis.b, ds.w)
@@ -209,73 +243,44 @@ class InfluenceOperator:
     ``a[i, j] = r_i * 1{p_i <= p_j} - v_i' G_j``, where ``p`` are the
     first-column points ``(s_first, w)``, ``r`` the residuals, ``v`` the
     influence vectors and ``G_j`` the indicator-weighted score mean.  Only
-    ``u @ a`` is defined, an (m, n) array for (m, n) multipliers, and no
-    n x n array is formed.
+    ``u @ a`` is defined, and no n x n array is formed.
 
-    Without W the points are the first projection column alone, and
-    :meth:`sorted_pass` computes ``u @ a`` in the column's sorted order:
-    it gathers ``x = u[:, order]``, takes ``c = x @ v_sorted``, multiplies
-    ``x`` by ``r_sorted``, takes the cumulative sum of ``x`` in place and
-    subtracts ``c @ G_sorted``.  At the last sorted position of each tie
-    run, ``x`` then equals ``u @ a`` for every point of the run; elsewhere
-    it is a partial sum.  ``__rmatmul__`` gathers those positions through
-    ``tie_end``.  ``weights[t]`` is the length of the tie run that ends at
-    sorted position t and 0 elsewhere, so ``(x * x) @ weights`` is the
-    row-wise sum of squares of ``u @ a`` with no gather back and no branch
-    on ties.  The sorted factors and the weights are built once, here.
-    With W the operator forms column blocks of ``a`` from the indicators.
+    :meth:`slot_pass` computes ``u @ a`` in the slot order of the
+    first-column :class:`DominanceKernel`: ``x = gather(u)``,
+    ``c = x @ v``, ``x *= r``, ``y = accumulate(x)``, ``y -= c @ G``, with
+    ``r``, ``v`` and ``G = accumulate(gather(score')) / n`` in slot order,
+    built once, here.  ``__rmatmul__`` reads column j at ``slot_of[j]``, and
+    ``(y * y) @ weights`` is the row-wise sum of squares of ``u @ a``.
     """
 
     __array_ufunc__ = None  # ``u @ a`` on an ndarray ``u`` calls __rmatmul__
 
-    def __init__(self, r: np.ndarray, v: np.ndarray, g: np.ndarray, proj: ProjectedSample):
+    def __init__(self, r: np.ndarray, v: np.ndarray, score: np.ndarray, kernel: DominanceKernel):
         n = r.shape[0]
-        self.r, self.v, self.g, self.proj = r, v, g, proj
-        self.shape = (n, n)
-        self.weights = None
-        if proj.w.shape[1] == 0:
-            order = proj.order
-            self.r_sorted, self.v_sorted, self.g_sorted = r[order], v[order], g[:, order]
-            self.weights = np.bincount(proj.tie_end, minlength=n).astype(float)
+        self.kernel, self.shape = kernel, (n, n)
+        self.r = kernel.gather(r, np.empty(n))
+        self.v = np.ascontiguousarray(kernel.gather(v.T, np.empty(v.T.shape)).T)
+        self.g = kernel.slot_sums(score.T) / n
 
-    def sorted_pass(self, u: np.ndarray, x: np.ndarray, scratch: np.ndarray | None = None) -> np.ndarray:
-        """``u @ a`` in sorted order, written to ``x`` (W-free operators only).
-
-        ``x`` has the shape of ``u``; position t holds ``u @ a`` of the
-        points whose tie run ends at t.  ``scratch``, of the same shape, takes
-        the correction product; it may be ``u`` itself, which is then
-        overwritten.
-        """
-        # "clip" on indices that are all valid: the default "raise" buffers ``out``
-        np.take(u, self.proj.order, axis=-1, out=x, mode="clip")
-        c = x @ self.v_sorted
-        x *= self.r_sorted
-        np.cumsum(x, axis=-1, out=x)
-        x -= np.matmul(c, self.g_sorted, out=scratch)
-        return x
+    def slot_pass(self, u: np.ndarray, x: np.ndarray) -> np.ndarray:
+        """``u @ a`` in slot order, written to ``u``.  ``x`` is the working
+        buffer; the two swap roles, so the pass needs no third one."""
+        x = self.kernel.gather(u, x)
+        c = x @ self.v
+        x *= self.r
+        self.kernel.accumulate(x, u)
+        u -= np.matmul(c, self.g, out=x)
+        return u
 
     def square_sums(self, u: np.ndarray, x: np.ndarray) -> np.ndarray:
-        """Row-wise sums of squares of ``u @ a`` for (k, n) multipliers ``u``
-        (W-free operators only).  ``x`` (k, n) is the working buffer and
-        ``u`` is overwritten."""
-        x = self.sorted_pass(u, x, scratch=u)
-        np.square(x, out=x)
-        return x @ self.weights
+        """Row-wise sums of squares of ``u @ a`` for (k, n) multipliers ``u``.
+        ``x`` (k, n) is the working buffer; both are overwritten."""
+        y = self.slot_pass(u, x)
+        return np.square(y, out=y) @ self.kernel.weights
 
     def __rmatmul__(self, u) -> np.ndarray:
-        u = np.asarray(u, dtype=float)
-        if self.weights is not None:
-            x = self.sorted_pass(u, np.empty(u.shape))
-            return np.take(x, self.proj.tie_end, axis=-1)
-        points = self.proj.points(first_only=True)
-        out = None
-        for cols in column_blocks(points.shape[0]):
-            a = self.r[:, None] * indicator_block(points, cols)
-            a -= self.v @ self.g[:, cols]
-            if out is None:  # after the block's temporaries are freed: a lower peak
-                out = np.empty(u.shape[:-1] + (points.shape[0],))
-            np.matmul(u, a, out=out[..., cols])
-        return out
+        u = np.array(u, dtype=float)  # a copy: the pass overwrites it
+        return np.take(self.slot_pass(u, np.empty(u.shape)), self.kernel.slot_of, axis=-1)
 
 
 def rho_matrix(fit: FitResult, v_hat: np.ndarray, proj: ProjectedSample) -> InfluenceOperator:
@@ -287,15 +292,13 @@ def rho_matrix(fit: FitResult, v_hat: np.ndarray, proj: ProjectedSample) -> Infl
     first-column dominance indicator, minus the estimation-effect
     correction ``Ghat_j' v_i`` where ``Ghat_j`` is the indicator-weighted
     score mean.  Only the first projection column enters here: the
-    resampling law targets the single-direction null structure.  The
-    operator holds the residuals, ``v_hat``, ``Ghat`` and the points;
+    resampling law targets the single-direction null structure.
     ``np.eye(n) @ rho_matrix(...)`` gives the dense matrix.
     """
     n = fit.residuals.shape[0]
     if proj.s.shape[0] != n:
         raise ValueError(f"fit has {n} rows but {proj.s.shape[0]} projected points")
-    g_hat = proj.dominance_sums(fit.score.T, first_only=True) / n
-    return InfluenceOperator(fit.residuals, v_hat, g_hat, proj)
+    return InfluenceOperator(fit.residuals, v_hat, fit.score, proj.first)
 
 
 def as_influence(a):
@@ -323,42 +326,39 @@ def mc_pvalue(
 ) -> tuple[float, np.ndarray]:
     """Monte Carlo p-value of ``t_n`` against ``m`` multiplier replicates.
 
-    ``a`` is the (n, n) influence matrix or the operator
-    :func:`rho_matrix` returns.  Multiplier vector j comes from a
-    substream that depends only on ``(seed, j)``, so the first k
-    replicates are the same for any ``m >= k``.  Replicate j is the sum of
-    squares of ``u_j @ a`` over n^2.
+    ``a`` is the operator :func:`rho_matrix` returns, or a dense (n, n)
+    influence matrix.  Multiplier vector j comes from a substream that
+    depends only on ``(seed, j)``, so the first k replicates are the same
+    for any ``m >= k``.  Replicate j is the sum of squares of ``u_j @ a``
+    over n^2.
 
-    The multipliers are drawn into one reused block buffer.  A W-free
-    operator takes blocks of about ``CACHE_ELEMENTS`` entries (8 rows at
-    n = 8000), so that the draws and the sorted copy of
-    :meth:`InfluenceOperator.square_sums` stay in cache; its tie weights
-    count every point of a tie run at the run's last sorted position.
-    Otherwise blocks have about ``BLOCK_ELEMENTS`` entries and each is one
-    ``u @ a``.  Returns the p-value and the replicate statistics themselves.
+    The multipliers are drawn into one reused block buffer, of the rows the
+    operator's kernel sets (8 at n = 8000 over the sorted kernel, so that
+    the draws and their sorted copy stay in cache), and each block is one
+    :meth:`InfluenceOperator.square_sums`.  Returns the p-value and the
+    replicate statistics themselves.
     """
     if m < 1:
         raise ValueError(f"need at least one replicate, got {m}")
     a = as_influence(a)
     n = a.shape[0]
-    w_free = isinstance(a, InfluenceOperator) and a.weights is not None
-    rows = min(m, max(1, CACHE_ELEMENTS // n) if w_free else block_width(n))
+    if isinstance(a, InfluenceOperator):
+        rows, square_sums = a.kernel.rows, a.square_sums
+    else:  # a dense matrix, the reference the tests compare the operator with
+        rows = block_width(n)
+        square_sums = lambda u, x: np.einsum("ij,ij->i", np.matmul(u, a, out=x), x)
     children = np.random.SeedSequence(seed).spawn(m)
     replicates = np.empty(m)
     # allocate the buffers after the substreams: in the other order, about 150
     # repeated n = 506 tests in one process raised its peak RSS by 5 MB
-    u = np.empty((rows, n))
-    x = np.empty_like(u) if w_free else None
+    u = np.empty((min(m, rows), n))
+    x = np.empty_like(u)
     for lo in range(0, m, rows):
         block = children[lo:lo + rows]
         k = len(block)
         for row, child in zip(u, block):
             np.random.default_rng(child).standard_normal(out=row)
-        if w_free:
-            replicates[lo:lo + k] = a.square_sums(u[:k], x[:k])
-        else:
-            delta = u[:k] @ a
-            replicates[lo:lo + k] = np.einsum("ij,ij->i", delta, delta)
+        replicates[lo:lo + k] = square_sums(u[:k], x[:k])
     replicates /= n * n
     return pvalue_from_replicates(t_n, replicates), replicates
 

@@ -353,10 +353,10 @@ def read_experiment_spec(path: str | Path) -> ExperimentSpec:
         repeated = sorted({v for v in values if values.count(v) > 1})
         if repeated:
             raise DataError(f"{path}: repeated {key} value(s): {', '.join(map(str, repeated))}")
-    if not 0.0 < spec.alpha < 1.0:
-        raise DataError(f"{path}: alpha must be in (0, 1), got {spec.alpha}")
-    if spec.reps < 1 or spec.mc_reps < 1:
-        raise DataError(f"{path}: reps and mc_reps must be positive")
-    if spec.seed < 0:
-        raise DataError(f"{path}: seed must be a non-negative integer, got {spec.seed}")
+    if spec.reps < 1:
+        raise DataError(f"{path}: reps must be positive, got {spec.reps}")
+    try:
+        check_settings(spec.mc_reps, spec.alpha, spec.seed)
+    except ValueError as exc:
+        raise DataError(f"{path}: {exc}") from None
     return spec

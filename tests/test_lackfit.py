@@ -5,6 +5,7 @@ from __future__ import annotations
 import json
 
 import dataclasses
+import functools
 import tracemalloc
 from types import SimpleNamespace
 
@@ -26,6 +27,7 @@ from pdrtest import (
     get_family,
     influence_vectors,
     lackfit,
+    load_boston,
     mc_pvalue,
     mc_replicate,
     nls_fit,
@@ -106,11 +108,16 @@ class TestIndicators:
         basis = estimate_basis(ds)
         assert basis.q_hat == 1
         proj = build_projected(ds, basis)
-        # the sample holds no n x n array: only s, w and the sort of s[:, 0]
-        assert all(np.asarray(f).size <= 60 * 2 for f in dataclasses.astuple(proj))
-        np.testing.assert_array_equal(proj.order, np.argsort(proj.s[:, 0], kind="stable"))
+        # one kernel serves the statistic and the operator, and it holds no
+        # n x n array: only the points and per-point arrays
+        assert proj.full is proj.first
+        assert all(np.asarray(f).size <= 60 * 2 for f in vars(proj.first).values())
         np.testing.assert_array_equal(
             indicators(proj), indicator_oracle(np.column_stack([proj.s, ds.w])))
+        # without W the kernel is the sort of s[:, 0]
+        proj = ProjectedSample.of(proj.s, np.empty((60, 0)))
+        assert proj.full is proj.first
+        np.testing.assert_array_equal(proj.first.order, np.argsort(proj.s[:, 0], kind="stable"))
 
     def test_run_test_matches_dense_oracles(self):
         for dsg in (design("ex1", 80, 0.4), design("ex5c1", 80, 0.4)):  # without and with W
@@ -131,7 +138,8 @@ class TestIndicators:
         basis = estimate_basis(ds)
         proj = build_projected(ds, basis)
         np.testing.assert_allclose(proj.s, ds.x @ basis.b)
-        assert proj.order.shape == proj.tie_end.shape == (60,)
+        assert proj.first.slot_of.shape == proj.first.weights.shape == (60,)
+        np.testing.assert_array_equal(proj.first.points, np.column_stack([proj.s[:, :1], ds.w]))
 
 
 def assert_rel(got, want, rel=1e-10):
@@ -191,11 +199,12 @@ class TestDominanceSums:
         np.testing.assert_array_equal(sums, [111.0, 10.0, 111.0, 1111.0])
 
 
-def w_free_operator(rng, n, k, kind):
-    """A W-free influence operator over n points of the given kind in k
-    projection columns (only the first enters), with random residuals,
-    scores and influence vectors, and its dense oracle."""
-    proj = ProjectedSample.of(draw_points(rng, n, k, kind), np.empty((n, 0)))
+def random_operator(rng, n, k, kind, p2=0):
+    """An influence operator over n points of the given kind in k
+    projection columns (only the first enters) and p2 W columns, with
+    random residuals, scores and influence vectors, and its dense oracle."""
+    points = draw_points(rng, n, k + p2, kind)
+    proj = ProjectedSample.of(points[:, :k], points[:, k:])
     fit = SimpleNamespace(residuals=rng.standard_normal(n), score=rng.standard_normal((n, 3)))
     v = rng.standard_normal((n, 3))
     return rho_matrix(fit, v, proj), dense_oracles.rho_matrix(fit, v, proj)
@@ -245,23 +254,28 @@ class TestInfluenceOperator:
     @example(n=12, k=1, kind="tied", m=7, rows=3, seed=1)  # m not a multiple of the rows
     @settings(max_examples=100, deadline=None)
     def test_sorted_statistic_matches_dense_replicates(self, n, k, kind, m, rows, seed):
-        a, dense = w_free_operator(np.random.default_rng(seed), n, k, kind)
+        a, dense = random_operator(np.random.default_rng(seed), n, k, kind)
         with pytest.MonkeyPatch.context() as mp:
             blocks_of(mp, n, rows)
             _, reps = mc_pvalue(0.0, a, m, seed)
         assert_rel(reps, dense_oracles.mc_replicates(dense, m, seed))
 
-    @given(n=st.integers(1, 40), k=st.integers(1, 2),
-           kind=st.sampled_from(["random", "tied", "duplicated"]), seed=st.integers(0, 2**32 - 1))
-    @example(n=12, k=1, kind="tied", seed=1)
-    @settings(max_examples=100, deadline=None)
-    def test_sorted_pass_readouts_match_dense_matrix(self, n, k, kind, seed):
+    @given(n=st.integers(1, 40), k=st.integers(1, 2), p2=st.integers(0, 2),
+           kind=st.sampled_from(["random", "tied", "duplicated"]),
+           width=st.integers(1, 45), seed=st.integers(0, 2**32 - 1))
+    @example(n=12, k=1, p2=0, kind="tied", width=12, seed=1)
+    @example(n=12, k=2, p2=1, kind="duplicated", width=5, seed=1)  # column blocks
+    @settings(max_examples=200, deadline=None)
+    def test_sorted_pass_readouts_match_dense_matrix(self, n, k, p2, kind, width, seed):
+        # both readouts of the slot-order pass, with and without W
         rng = np.random.default_rng(seed)
-        a, dense = w_free_operator(rng, n, k, kind)
-        assert_rel(np.eye(n) @ a, dense)
+        a, dense = random_operator(rng, n, k, kind, p2)
         u = rng.standard_normal((5, n))
-        assert_rel(u @ a, u @ dense)
-        assert_rel(a.square_sums(u.copy(), np.empty_like(u)), np.sum((u @ dense) ** 2, axis=1))
+        with pytest.MonkeyPatch.context() as mp:
+            blocks_of(mp, n, width)
+            assert_rel(np.eye(n) @ a, dense)
+            assert_rel(u @ a, u @ dense)
+            assert_rel(a.square_sums(u.copy(), np.empty_like(u)), np.sum((u @ dense) ** 2, axis=1))
 
     def test_w_free_mc_pvalue_memory_at_eight_thousand(self):
         ds, fit, proj = fitted_instance("ex1", 8000, 0.6, 28)
@@ -557,3 +571,43 @@ class TestRunTest:
         np.testing.assert_allclose(eye @ a1, (eye @ a0)[np.ix_(perm, perm)], atol=1e-10)
         u = np.random.default_rng(21).standard_normal(ds.n)
         assert mc_replicate(a1, u[perm]) == pytest.approx(mc_replicate(a0, u), abs=1e-10)
+
+
+@functools.lru_cache(maxsize=None)
+def law_instance(case):
+    """A fitted null instance of ``case`` (Boston as it is), its influence
+    operator, ``t_n`` and the weights of the replicates' exact law, which
+    come from the dense oracle."""
+    if case == "boston":
+        ds, family = load_boston(), "linear+w"
+    else:
+        dsg = design(case, 200, 0.0)
+        ds, family = generate(dsg, np.random.default_rng(3)), dsg.null_family
+    fit = nls_fit(ds, get_family(family, ds.p1, ds.p2))
+    proj = build_projected(ds, estimate_basis(ds))
+    v = influence_vectors(fit)
+    lam = dense_oracles.replicate_weights(dense_oracles.rho_matrix(fit, v, proj))
+    return rho_matrix(fit, v, proj), tn_statistic(fit.residuals, proj), lam
+
+
+@pytest.mark.parametrize("case", ["ex1", "ex3", "ex5c1", "ex5c3", "boston"])
+class TestMonteCarloLaw:
+    """The replicates of ``mc_pvalue`` against their exact conditional law,
+    ``sum_k lam_k chi2_1``, with no reference to the draws."""
+
+    M = 2000
+
+    def test_pvalue_matches_exact_tail(self, case):
+        a, t_n, lam = law_instance(case)
+        p_hat, reps = mc_pvalue(t_n, a, self.M, 31)
+        # at the observed statistic, and at the law's mean, where the tail is never small
+        for x, got in ((t_n, p_hat), (lam.sum(), pvalue_from_replicates(lam.sum(), reps))):
+            p, err = dense_oracles.imhof_tail(x, lam)
+            assert err < 1e-5
+            assert abs(got - p) <= 4 * np.sqrt(p * (1 - p) / self.M) + err, (x, got, p)
+
+    def test_replicate_mean_matches_exact_mean(self, case):
+        a, _, lam = law_instance(case)
+        _, reps = mc_pvalue(0.0, a, self.M, 32)
+        # one replicate has mean sum(lam) and variance 2 sum(lam^2)
+        assert abs(reps.mean() - lam.sum()) <= 4 * np.sqrt(2 * np.sum(lam**2) / self.M)

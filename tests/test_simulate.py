@@ -303,3 +303,15 @@ class TestExperimentSpec:
         )
         with pytest.raises(DataError, match="exp.txt: seed must be a non-negative integer, got -3"):
             read_experiment_spec(path)
+
+    @pytest.mark.parametrize("key, value, message", [
+        ("mc_reps", "0", "exp.txt: need at least one replicate, got 0"),
+        ("alpha", "1.5", r"exp.txt: alpha must be in \(0, 1\), got 1.5"),
+        ("reps", "0", "exp.txt: reps must be positive, got 0"),
+    ])
+    def test_bad_setting_names_file_and_value(self, tmp_path, key, value, message):
+        entries = {"case": "ex1", "n": "50", "a": "0", "reps": "5", "mc_reps": "5",
+                   "alpha": "0.05", "seed": "1", key: value}
+        path = self._write(tmp_path, "".join(f"{k} = {v}\n" for k, v in entries.items()))
+        with pytest.raises(DataError, match=message):
+            read_experiment_spec(path)
