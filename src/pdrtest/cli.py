@@ -40,6 +40,9 @@ def _resolve_seed(arg: int | None) -> int:
 
 def _load_dataset(args) -> Dataset:
     if args.preset == "boston":
+        given = [f"--{name}" for name in ("y", "x", "w") if getattr(args, name)]
+        if given:
+            raise DataError(f"--preset boston sets its own columns; remove {', '.join(given)}")
         path = args.data if args.data else boston_path()
         ds = prepare_boston(load_csv(path, BOSTON_SCHEMA))
     else:

@@ -20,7 +20,7 @@ from .families import ModelFamily
 MAX_ITER = 200
 DAMPING_INIT = 1e-3
 SSE_RTOL = 1e-10
-GRAD_ATOL = 1e-8
+GRAD_RTOL = 1e-10
 
 
 @dataclass
@@ -50,9 +50,10 @@ def nls_fit(
 
     ``init`` stacks ``(beta, theta)``; when omitted, beta starts at the
     least-squares regression of y on x and theta at zero.  Convergence is
-    declared when the relative sse decrease or the gradient max-norm falls
-    below tolerance; hitting the iteration cap returns ``converged=False``
-    and leaves the decision to the caller.
+    declared when the relative sse decrease falls below tolerance or the
+    point is stationary by :func:`stationary`; neither depends on the units
+    of y.  Hitting the iteration cap returns ``converged=False`` and leaves
+    the decision to the caller.
     """
     if family.p1 != ds.p1:
         raise ValueError(f"family expects p1={family.p1}, data has {ds.p1}")
@@ -82,7 +83,7 @@ def nls_fit(
     for iterations in range(1, max_iter + 1):
         jac = family.gradient(x, w, params[: family.p1], params[family.p1 :])
         grad = jac.T @ resid
-        if np.max(np.abs(grad)) < GRAD_ATOL:
+        if stationary(jac, resid, grad):
             converged = True
             break
         gn = jac.T @ jac
@@ -103,7 +104,7 @@ def nls_fit(
             damping *= 10.0
         if not accepted:
             # no downhill step found: at a (numerical) stationary point
-            converged = bool(np.max(np.abs(grad)) < GRAD_ATOL)
+            converged = stationary(jac, resid, grad)
             break
 
         rel_drop = (sse - trial_sse) / max(sse, np.finfo(float).tiny)
@@ -123,6 +124,15 @@ def nls_fit(
         converged=converged,
         iterations=iterations,
     )
+
+
+def stationary(jac: np.ndarray, resid: np.ndarray, grad: np.ndarray) -> bool:
+    """MINPACK's ``gtol`` test (More, Garbow & Hillstrom 1980): every column
+    ``J_k`` of the Jacobian has ``|J_k' r| <= GRAD_RTOL * |J_k| * |r|``, so
+    the residual is orthogonal to each column to within a cosine of
+    GRAD_RTOL.  ``grad`` is ``J' r``.  An exactly zero residual passes."""
+    bound = GRAD_RTOL * np.linalg.norm(jac, axis=0) * np.linalg.norm(resid)
+    return bool(np.all(np.abs(grad) <= bound))
 
 
 def influence_vectors(fit: FitResult) -> np.ndarray:

@@ -151,21 +151,6 @@ class ProjectedSample:
         first = dominance_kernel(np.column_stack([s[:, :1], w]))
         return cls(s, w, first if s.shape[1] == 1 else dominance_kernel(np.column_stack([s, w])), first)
 
-    def points(self, first_only: bool = False) -> np.ndarray:
-        """Evaluation points ``(s, w)``, or ``(s[:, 0], w)`` with ``first_only``."""
-        return (self.first if first_only else self.full).points
-
-    def dominance_sums(self, values: np.ndarray, first_only: bool = False) -> np.ndarray:
-        """``out[..., j] = sum_i values[..., i] * 1{points_i <= points_j}``
-        over :meth:`points`."""
-        return (self.first if first_only else self.full).sums(values)
-
-
-def dominance_sums(values: np.ndarray, points: np.ndarray) -> np.ndarray:
-    """:meth:`DominanceKernel.sums` over ``points``, (n, k) or (n,)."""
-    points = np.asarray(points, dtype=float)
-    return dominance_kernel(points.reshape(points.shape[0], -1)).sums(values)
-
 
 @dataclass(frozen=True)
 class TestReport:
@@ -233,7 +218,7 @@ def tn_statistic(residuals: np.ndarray, proj: ProjectedSample) -> float:
     n = resid.shape[0]
     if proj.s.shape[0] != n:
         raise ValueError(f"{n} residuals but {proj.s.shape[0]} projected points")
-    v = proj.dominance_sums(resid) / np.sqrt(n)
+    v = proj.full.sums(resid) / np.sqrt(n)
     return float(np.mean(v**2))
 
 
@@ -301,14 +286,9 @@ def rho_matrix(fit: FitResult, v_hat: np.ndarray, proj: ProjectedSample) -> Infl
     return InfluenceOperator(fit.residuals, v_hat, fit.score, proj.first)
 
 
-def as_influence(a):
-    """An :class:`InfluenceOperator` as it is; anything else as a float array."""
-    return a if isinstance(a, InfluenceOperator) else np.asarray(a, dtype=float)
-
-
 def mc_replicate(a: InfluenceOperator | np.ndarray, u: np.ndarray) -> float:
-    """Resampled statistic for one multiplier vector ``u``."""
-    a = as_influence(a)
+    """Resampled statistic for one multiplier vector ``u``, over the
+    operator or a dense (n, n) matrix."""
     u = np.asarray(u, dtype=float).reshape(-1)
     n = a.shape[0]
     delta = (u @ a) / np.sqrt(n)
@@ -321,16 +301,14 @@ def pvalue_from_replicates(t_n: float, replicates: np.ndarray) -> float:
     return float(np.mean(replicates >= t_n))
 
 
-def mc_pvalue(
-    t_n: float, a: InfluenceOperator | np.ndarray, m: int, seed: int
-) -> tuple[float, np.ndarray]:
+def mc_pvalue(t_n: float, a: InfluenceOperator, m: int, seed: int) -> tuple[float, np.ndarray]:
     """Monte Carlo p-value of ``t_n`` against ``m`` multiplier replicates.
 
-    ``a`` is the operator :func:`rho_matrix` returns, or a dense (n, n)
-    influence matrix.  Multiplier vector j comes from a substream that
-    depends only on ``(seed, j)``, so the first k replicates are the same
-    for any ``m >= k``.  Replicate j is the sum of squares of ``u_j @ a``
-    over n^2.
+    ``a`` is the operator :func:`rho_matrix` returns.  Multiplier vector j
+    comes from the substream ``SeedSequence(seed, spawn_key=(j,))``, the
+    child j of ``SeedSequence(seed).spawn``, so the first k replicates are
+    the same for any ``m >= k``.  Replicate j is the sum of squares of
+    ``u_j @ a`` over n^2.
 
     The multipliers are drawn into one reused block buffer, of the rows the
     operator's kernel sets (8 at n = 8000 over the sorted kernel, so that
@@ -340,25 +318,16 @@ def mc_pvalue(
     """
     if m < 1:
         raise ValueError(f"need at least one replicate, got {m}")
-    a = as_influence(a)
-    n = a.shape[0]
-    if isinstance(a, InfluenceOperator):
-        rows, square_sums = a.kernel.rows, a.square_sums
-    else:  # a dense matrix, the reference the tests compare the operator with
-        rows = block_width(n)
-        square_sums = lambda u, x: np.einsum("ij,ij->i", np.matmul(u, a, out=x), x)
-    children = np.random.SeedSequence(seed).spawn(m)
+    n, rows = a.shape[0], a.kernel.rows
     replicates = np.empty(m)
-    # allocate the buffers after the substreams: in the other order, about 150
-    # repeated n = 506 tests in one process raised its peak RSS by 5 MB
     u = np.empty((min(m, rows), n))
     x = np.empty_like(u)
     for lo in range(0, m, rows):
-        block = children[lo:lo + rows]
-        k = len(block)
-        for row, child in zip(u, block):
+        k = min(rows, m - lo)
+        for j, row in enumerate(u[:k], lo):
+            child = np.random.SeedSequence(seed, spawn_key=(j,))
             np.random.default_rng(child).standard_normal(out=row)
-        replicates[lo:lo + k] = square_sums(u[:k], x[:k])
+        replicates[lo:lo + k] = a.square_sums(u[:k], x[:k])
     replicates /= n * n
     return pvalue_from_replicates(t_n, replicates), replicates
 

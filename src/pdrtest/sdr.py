@@ -48,17 +48,20 @@ class BasisEstimate:
     Attributes:
         q_hat: estimated structural dimension, in ``[1, p1]``.
         b: ``(p1, q_hat)`` matrix; unit-norm, sign-fixed columns.
-        b_first: first column of ``b`` (the one used by the resampling
-            process downstream).
         eigenvalues: spectrum of the candidate matrix, descending.
         ridge: ridge constant used for the dimension decision.
     """
 
     q_hat: int
     b: np.ndarray
-    b_first: np.ndarray
     eigenvalues: np.ndarray
     ridge: float
+
+    @property
+    def b_first(self) -> np.ndarray:
+        """First column of ``b`` (the one used by the resampling process
+        downstream)."""
+        return self.b[:, 0]
 
     def to_record(self) -> dict:
         """Machine-readable record of the estimate: every value ``dim`` prints."""
@@ -380,7 +383,6 @@ def estimate_basis(ds: Dataset, c_n: float | None = None) -> BasisEstimate:
     return BasisEstimate(
         q_hat=q_hat,
         b=b,
-        b_first=b[:, 0].copy(),
         eigenvalues=cand.eigenvalues,
         ridge=ridge,
     )

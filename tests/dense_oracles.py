@@ -24,7 +24,7 @@ def indicator_matrix(points: np.ndarray) -> np.ndarray:
 def rho_matrix(fit, v_hat: np.ndarray, proj) -> np.ndarray:
     """The influence matrix ``a[i, j] = r_i 1{p_i <= p_j} - v_i' Ghat_j`` over
     the first-column points, with ``Ghat = score' I / n``."""
-    ind = indicator_matrix(proj.points(first_only=True))
+    ind = indicator_matrix(proj.first.points)
     g_hat = fit.score.T @ ind / fit.residuals.shape[0]
     return fit.residuals[:, None] * ind - v_hat @ g_hat
 

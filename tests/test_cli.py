@@ -245,6 +245,15 @@ class TestCmdSimulate:
         assert main(["simulate", "--spec", "/nonexistent/exp.txt"]) == EXIT_IO
 
 
+@pytest.mark.parametrize("command", ["test", "dim"])
+@pytest.mark.parametrize("flags", [["--y", "NOX", "--x", "RM"], ["--w", "CRIM"]])
+def test_preset_rejects_column_flags(command, flags, capsys):
+    # the preset fixes its columns; --data alone may point it at another copy
+    assert main([command, "--preset", "boston", *flags, "--format", "json"]) == EXIT_DATA
+    err = capsys.readouterr().err
+    assert all(flag in err for flag in flags[::2]), err
+
+
 def test_star_import_names_exist():
     namespace = {}
     exec("from pdrtest import *", namespace)

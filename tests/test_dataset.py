@@ -5,16 +5,8 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from pdrtest import (
-    DataError,
-    Dataset,
-    Schema,
-    SingularityError,
-    load_csv,
-    prepare_boston,
-    standardize,
-)
-from pdrtest.dataset import BOSTON_COLUMNS
+from pdrtest import DataError, Dataset, Schema, SingularityError, load_csv
+from pdrtest.dataset import BOSTON_COLUMNS, boston_path, prepare_boston, standardize
 
 
 class TestLoadCsv:
@@ -46,8 +38,6 @@ class TestLoadCsv:
         assert (ds.n, ds.dropped_rows) == (3, 1)
 
     def test_boston_schema_dimensions(self, write_csv):
-        from pdrtest import boston_path
-
         x_names = tuple(c for c in BOSTON_COLUMNS if c not in ("MEDV", "CRIM", "CHAS"))
         ds = load_csv(boston_path(), Schema(y="MEDV", x=x_names, w=("CRIM",)))
         assert (ds.n, ds.p1, ds.p2) == (506, 11, 1)

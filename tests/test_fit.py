@@ -16,6 +16,7 @@ from pdrtest import (
     get_family,
     influence_vectors,
     nls_fit,
+    run_test,
 )
 
 BETA_EX1 = np.array([0.0, 0.0, 1.0, 1.0]) / np.sqrt(2.0)
@@ -101,6 +102,27 @@ class TestNlsFit:
         fit = nls_fit(ds, family, init=np.array([8.0, 8.0]), max_iter=1)
         assert not fit.converged
         assert fit.iterations == 1
+
+
+    @pytest.mark.parametrize("case", ["ex5c1", "ex5c2", "ex5c3", "ex5c4", "ex1"])
+    def test_stopping_rule_ignores_response_units(self, case):
+        # a gradient bound in the units of y would call a small response
+        # converged at the start, with theta = 0, and reject a correct null
+        dsg = design(case, 100, 0.0)
+        ds = generate(dsg, np.random.default_rng(7))
+        unit = run_test(ds, dsg.null_family, m=500, seed=3)
+        for c in (1e-12, 1e-10, 1e12):
+            rep = run_test(Dataset(y=c * ds.y, x=ds.x, w=ds.w), dsg.null_family, m=500, seed=3)
+            assert rep.fit.converged
+            assert rep.fit.iterations == unit.fit.iterations
+            np.testing.assert_allclose(rep.fit.theta / c, unit.fit.theta, rtol=1e-6, atol=1e-12)
+            assert rep.t_n / c**2 == pytest.approx(unit.t_n, rel=1e-6)
+            assert rep.p_hat == unit.p_hat
+
+    def test_zero_residual_is_converged(self):
+        ds, _ = make_linear_dataset(np.random.default_rng(6))
+        fit = nls_fit(Dataset(y=np.zeros(ds.n), x=ds.x, w=None), get_family("linear", ds.p1, 0))
+        assert fit.converged and fit.iterations == 1 and fit.sse == 0.0
 
 
 class TestInfluenceVectors:

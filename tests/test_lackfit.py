@@ -17,8 +17,9 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from pdrtest import (
+    DataError,
     Dataset,
-    ProjectedSample,
+    SingularityError,
     build_projected,
     cli,
     design,
@@ -36,6 +37,7 @@ from pdrtest import (
     run_test,
     tn_statistic,
 )
+from pdrtest.lackfit import ProjectedSample
 
 
 def proj_from_points(s, w=None):
@@ -43,10 +45,9 @@ def proj_from_points(s, w=None):
     return ProjectedSample.of(s, np.empty((s.shape[0], 0)) if w is None else w)
 
 
-def indicators(proj, first_only=False):
+def indicators(kernel):
     """The library's dominance indicators: its dominance sums of the unit rows."""
-    n = proj.s.shape[0]
-    sums = proj.dominance_sums(np.eye(n), first_only=first_only)
+    sums = kernel.sums(np.eye(kernel.n))
     assert np.isin(sums, (0.0, 1.0)).all()
     return sums == 1.0
 
@@ -70,38 +71,38 @@ def indicator_oracle(points):
 class TestIndicators:
     def test_two_ordered_scalars(self):
         proj = proj_from_points([1.0, 2.0])
-        np.testing.assert_array_equal(indicators(proj), [[True, True], [False, True]])
+        np.testing.assert_array_equal(indicators(proj.full), [[True, True], [False, True]])
 
     def test_ties_dominate_mutually(self):
         proj = proj_from_points([1.0, 1.0, 2.0])
-        ind = indicators(proj)
+        ind = indicators(proj.full)
         assert ind[0, 1] and ind[1, 0]
 
     def test_diagonal_always_true(self):
         rng = np.random.default_rng(0)
         proj = proj_from_points(rng.standard_normal((15, 2)), rng.standard_normal((15, 1)))
-        assert indicators(proj).diagonal().all()
-        assert indicators(proj, first_only=True).diagonal().all()
+        assert indicators(proj.full).diagonal().all()
+        assert indicators(proj.first).diagonal().all()
 
     def test_matches_triple_loop_oracle(self):
         rng = np.random.default_rng(1)
         s = rng.standard_normal((10, 2))
         w = rng.standard_normal((10, 1))
         proj = proj_from_points(s, w)
-        np.testing.assert_array_equal(indicators(proj), indicator_oracle(np.column_stack([s, w])))
+        np.testing.assert_array_equal(indicators(proj.full), indicator_oracle(np.column_stack([s, w])))
         np.testing.assert_array_equal(
-            indicators(proj, first_only=True), indicator_oracle(np.column_stack([s[:, :1], w]))
+            indicators(proj.first), indicator_oracle(np.column_stack([s[:, :1], w]))
         )
 
     def test_full_dominance_implies_first_column_dominance(self):
         rng = np.random.default_rng(2)
         proj = proj_from_points(rng.standard_normal((12, 3)), rng.standard_normal((12, 1)))
-        assert np.all(indicators(proj, first_only=True)[indicators(proj)])
+        assert np.all(indicators(proj.first)[indicators(proj.full)])
 
     def test_single_projection_column_makes_them_equal(self):
         rng = np.random.default_rng(3)
         proj = proj_from_points(rng.standard_normal((12, 1)), rng.standard_normal((12, 2)))
-        np.testing.assert_array_equal(indicators(proj), indicators(proj, first_only=True))
+        np.testing.assert_array_equal(indicators(proj.full), indicators(proj.first))
 
     def test_one_direction_sorts_one_column(self):
         ds = generate(design("ex5c1", 60, 0.0), np.random.default_rng(4))
@@ -113,7 +114,7 @@ class TestIndicators:
         assert proj.full is proj.first
         assert all(np.asarray(f).size <= 60 * 2 for f in vars(proj.first).values())
         np.testing.assert_array_equal(
-            indicators(proj), indicator_oracle(np.column_stack([proj.s, ds.w])))
+            indicators(proj.full), indicator_oracle(np.column_stack([proj.s, ds.w])))
         # without W the kernel is the sort of s[:, 0]
         proj = ProjectedSample.of(proj.s, np.empty((60, 0)))
         assert proj.full is proj.first
@@ -125,7 +126,7 @@ class TestIndicators:
             rep = run_test(ds, dsg.null_family, m=50, seed=6)
             assert rep.q_hat == 1
             proj = build_projected(ds, rep.basis)
-            v = rep.fit.residuals @ indicator_matrix(proj.points()) / np.sqrt(ds.n)
+            v = rep.fit.residuals @ indicator_matrix(proj.full.points) / np.sqrt(ds.n)
             assert rep.t_n == pytest.approx(np.mean(v**2), rel=1e-10)
             a = dense_oracles.rho_matrix(rep.fit, influence_vectors(rep.fit), proj)
             want = dense_oracles.mc_replicates(a, 50, 6)
@@ -168,6 +169,12 @@ def blocks_of(monkeypatch, n, width):
     assert lackfit.block_width(n) == width
 
 
+def dominance_sums(values, points):
+    """The library's dominance sums over raw (n,) or (n, k) points."""
+    points = np.asarray(points, dtype=float)
+    return lackfit.dominance_kernel(points.reshape(points.shape[0], -1)).sums(values)
+
+
 class TestDominanceSums:
     @given(n=st.integers(1, 40), k=st.integers(1, 3),
            kind=st.sampled_from(["random", "tied", "duplicated"]),
@@ -180,22 +187,21 @@ class TestDominanceSums:
         ind = indicator_matrix(points)
         with pytest.MonkeyPatch.context() as mp:
             blocks_of(mp, n, width)
-            assert_rel(lackfit.dominance_sums(values, points), values @ ind)
-            assert_rel(lackfit.dominance_sums(values[0], points), values[0] @ ind)
+            assert_rel(dominance_sums(values, points), values @ ind)
+            assert_rel(dominance_sums(values[0], points), values[0] @ ind)
 
     def test_one_column_needs_no_block(self, monkeypatch):
         # the 1-D path is a sort: any block width gives the same sums
         rng = np.random.default_rng(24)
         points = rng.integers(0, 50, 300).astype(float)
         values = rng.standard_normal(300)
-        want = lackfit.dominance_sums(values, points)
+        want = dominance_sums(values, points)
         blocks_of(monkeypatch, 300, 1)
-        np.testing.assert_array_equal(lackfit.dominance_sums(values, points), want)
+        np.testing.assert_array_equal(dominance_sums(values, points), want)
         assert_rel(want, values @ indicator_matrix(points[:, None]))
 
     def test_ties_read_at_end_of_run(self):
-        sums = lackfit.dominance_sums(np.array([1.0, 10.0, 100.0, 1000.0]),
-                                      np.array([2.0, 1.0, 2.0, 3.0]))
+        sums = dominance_sums(np.array([1.0, 10.0, 100.0, 1000.0]), np.array([2.0, 1.0, 2.0, 3.0]))
         np.testing.assert_array_equal(sums, [111.0, 10.0, 111.0, 1111.0])
 
 
@@ -246,7 +252,7 @@ class TestInfluenceOperator:
         blocks_of(monkeypatch, 50, 7)
         assert_rel(np.eye(50) @ rho_matrix(fit, v, proj), dense_oracles.rho_matrix(fit, v, proj))
         assert tn_statistic(fit.residuals, proj) == pytest.approx(
-            np.mean((fit.residuals @ indicator_matrix(proj.points())) ** 2) / 50, rel=1e-10)
+            np.mean((fit.residuals @ indicator_matrix(proj.full.points)) ** 2) / 50, rel=1e-10)
 
     @given(n=st.integers(1, 40), k=st.integers(1, 2),
            kind=st.sampled_from(["random", "tied", "duplicated"]),
@@ -321,7 +327,7 @@ class TestTnStatistic:
         resid = rng.standard_normal(14)
         proj = proj_from_points(rng.standard_normal((14, 2)), rng.standard_normal((14, 1)))
         n = 14
-        ind = indicator_oracle(proj.points())
+        ind = indicator_oracle(proj.full.points)
         acc = 0.0
         for j in range(n):
             v = sum(resid[i] * ind[i, j] for i in range(n)) / np.sqrt(n)
@@ -369,7 +375,7 @@ class TestRhoMatrix:
         ds, fit, proj = fitted_instance(case="ex1")
         v = influence_vectors(fit)
         a = np.eye(ds.n) @ rho_matrix(fit, v, proj)
-        ind = indicator_oracle(proj.points(first_only=True))
+        ind = indicator_oracle(proj.first.points)
         col_all_ones = np.flatnonzero(ind.all(axis=0))
         assert col_all_ones.size >= 1
         j = int(col_all_ones[0])
@@ -381,7 +387,7 @@ class TestRhoMatrix:
         v = influence_vectors(fit)
         n, k = fit.score.shape
         a = np.eye(n) @ rho_matrix(fit, v, proj)
-        ind = indicator_oracle(proj.points(first_only=True))
+        ind = indicator_oracle(proj.first.points)
         oracle = np.zeros((n, n))
         for j in range(n):
             ghat = np.zeros(k)
@@ -426,7 +432,7 @@ class TestMcReplicate:
 
 class TestMcPvalue:
     def test_zero_statistic_gives_one(self):
-        a = np.random.default_rng(12).standard_normal((10, 10))
+        a, _ = random_operator(np.random.default_rng(12), 10, 1, "random")
         p, reps = mc_pvalue(0.0, a, m=50, seed=1)
         assert p == 1.0
         assert reps.shape == (50,)
@@ -435,12 +441,12 @@ class TestMcPvalue:
         assert pvalue_from_replicates(2.5, np.array([1.0, 2.0, 3.0])) == pytest.approx(1 / 3)
 
     def test_pvalue_on_grid(self):
-        a = np.random.default_rng(13).standard_normal((12, 12))
+        a, _ = random_operator(np.random.default_rng(13), 12, 1, "random")
         p, _ = mc_pvalue(0.01, a, m=37, seed=2)
         assert (p * 37) == pytest.approx(round(p * 37), abs=1e-12)
 
     def test_deterministic_given_seed(self):
-        a = np.random.default_rng(14).standard_normal((15, 15))
+        a, _ = random_operator(np.random.default_rng(14), 15, 1, "random", p2=1)
         p1, r1 = mc_pvalue(0.3, a, m=40, seed=5)
         p2, r2 = mc_pvalue(0.3, a, m=40, seed=5)
         p3, r3 = mc_pvalue(0.3, a, m=40, seed=6)
@@ -449,23 +455,36 @@ class TestMcPvalue:
         assert not np.array_equal(r1, r3)
 
     def test_replicate_depends_only_on_seed_and_index(self):
-        a = np.random.default_rng(22).standard_normal((30, 30))
+        a, dense = random_operator(np.random.default_rng(22), 30, 1, "random", p2=1)
         _, r10 = mc_pvalue(0.5, a, m=10, seed=4)
         _, r25 = mc_pvalue(0.5, a, m=25, seed=4)
         np.testing.assert_allclose(r10, r25[:10], rtol=1e-12)
         children = np.random.SeedSequence(4).spawn(25)
         for j in range(10):
             u = np.random.default_rng(children[j]).standard_normal(30)
-            assert r10[j] == pytest.approx(mc_replicate(a, u), rel=1e-12)
+            assert r10[j] == pytest.approx(mc_replicate(dense, u), rel=1e-12)
 
     @given(st.floats(1e-6, 1e6))
     @settings(max_examples=100, deadline=None)
     def test_scale_invariance(self, c):
         # decision depends only on the ordering, which positive scaling keeps
-        a = np.random.default_rng(15).standard_normal((10, 10))
+        a, _ = random_operator(np.random.default_rng(15), 10, 1, "random")
         t_n = 0.8
         p, reps = mc_pvalue(t_n, a, m=60, seed=3)
         assert pvalue_from_replicates(c * t_n, c * reps) == p
+
+    def test_seed_memory_does_not_grow_with_m(self):
+        # each replicate's substream is made when its row is drawn: a list
+        # of m seed objects would hold about 400 B per replicate
+        a, _ = random_operator(np.random.default_rng(16), 10, 1, "random")
+        tracemalloc.start()
+        try:
+            _, reps = mc_pvalue(1.0, a, 10_000, 17)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert reps.shape == (10_000,)
+        assert peak < 2e6, f"tracemalloc peak {peak / 1e6:.1f} MB"
 
 
 class TestRunTest:
@@ -571,6 +590,45 @@ class TestRunTest:
         np.testing.assert_allclose(eye @ a1, (eye @ a0)[np.ix_(perm, perm)], atol=1e-10)
         u = np.random.default_rng(21).standard_normal(ds.n)
         assert mc_replicate(a1, u[perm]) == pytest.approx(mc_replicate(a0, u), abs=1e-10)
+
+
+def degenerate_dataset(kind, n, rng):
+    """n rows of three index covariates and one or two W columns, with ties
+    in x or in W, a constant W column, or repeated rows; "three rows" has
+    n = 3 and one index covariate, so the whitening holds and every W-cell
+    is below MIN_CELL."""
+    x = rng.standard_normal((n, 1 if kind == "three rows" else 3))
+    w = rng.standard_normal((n, 1))
+    if kind == "tied x":
+        x = np.round(x)
+    elif kind == "tied w":
+        w = np.round(w)
+    elif kind == "constant w":
+        w = np.ones((n, 1))
+    elif kind == "one constant w":
+        w = np.column_stack([w, np.ones(n)])
+    y = x @ np.array([1.0, -0.5, 0.25])[:x.shape[1]] + w[:, 0] + 0.3 * rng.standard_normal(n)
+    if kind == "duplicated rows":
+        rows = rng.integers(0, max(1, n // 3), n)
+        y, x, w = y[rows], x[rows], w[rows]
+    return Dataset(y=y, x=x, w=w)
+
+
+class TestDegenerateInputs:
+    @given(kind=st.sampled_from(["tied x", "tied w", "constant w", "one constant w",
+                                 "duplicated rows", "three rows"]),
+           n=st.integers(4, 80), family=st.sampled_from(["linear", "linear+w"]),
+           seed=st.integers(0, 2**32 - 1))
+    @settings(max_examples=150, deadline=None)
+    def test_defined_result_or_named_error(self, kind, n, family, seed):
+        ds = degenerate_dataset(kind, 3 if kind == "three rows" else n, np.random.default_rng(seed))
+        try:
+            rep = run_test(ds, family if ds.p2 == 1 else "linear", m=40, seed=seed)
+        except (DataError, SingularityError):
+            return
+        assert np.isfinite(rep.t_n) and rep.t_n >= 0.0
+        assert rep.replicates.shape == (40,) and np.isfinite(rep.replicates).all()
+        assert rep.p_hat == np.mean(rep.replicates >= rep.t_n)
 
 
 @functools.lru_cache(maxsize=None)

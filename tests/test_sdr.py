@@ -10,18 +10,16 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from pdrtest import (
-    DataError,
-    Dataset,
+from pdrtest import DataError, Dataset, design, estimate_basis, generate, ridge_eigenvalue_ratio
+from pdrtest.dataset import standardize
+from pdrtest.sdr import (
+    MAX_SLICES,
+    MIN_CELL,
+    SLICE_OCCUPANCY,
     dee_matrix,
-    design,
-    estimate_basis,
-    generate,
+    order_statistic_sums,
     pdee_matrix,
-    ridge_eigenvalue_ratio,
-    standardize,
 )
-from pdrtest.sdr import MAX_SLICES, MIN_CELL, SLICE_OCCUPANCY, order_statistic_sums
 
 BETA_EX1 = np.array([0.0, 0.0, 1.0, 1.0]) / np.sqrt(2.0)
 

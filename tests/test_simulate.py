@@ -9,19 +9,17 @@ import math
 import numpy as np
 import pytest
 
-from pdrtest import (
-    DataError,
+from pdrtest import DataError, design, generate, power_experiment, simulate
+from pdrtest.simulate import (
     PowerRow,
     PowerTable,
-    design,
     emit_table,
-    generate,
     parse_table,
-    power_experiment,
     read_experiment_spec,
+    render_csv,
+    render_curves,
+    render_text,
 )
-from pdrtest import simulate
-from pdrtest.simulate import render_csv, render_curves, render_text
 
 
 class _ErrorFreeRng:
