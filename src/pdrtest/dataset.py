@@ -52,6 +52,15 @@ class Schema:
 BOSTON_SCHEMA = Schema(y="MEDV", x=tuple(c for c in BOSTON_COLUMNS if c != "MEDV"))
 
 
+def as_columns(name: str, values) -> np.ndarray:
+    """``values`` as a float array of rows and columns: a 1-D array is one
+    column, and more than two dimensions is a :class:`DataError`."""
+    arr = np.asarray(values, dtype=float)
+    if arr.ndim > 2:
+        raise DataError(f"{name} must be 1-D or 2-D, got shape {arr.shape}")
+    return arr.reshape(-1, 1) if arr.ndim == 1 else np.atleast_2d(arr)
+
+
 @dataclass
 class Dataset:
     """Aligned response and covariate arrays.
@@ -72,13 +81,9 @@ class Dataset:
 
     def __post_init__(self):
         self.y = np.asarray(self.y, dtype=float).reshape(-1)
-        self.x = np.atleast_2d(np.asarray(self.x, dtype=float))
         n = self.y.shape[0]
-        if self.w is None:
-            self.w = np.empty((n, 0))
-        self.w = np.asarray(self.w, dtype=float)
-        if self.w.ndim == 1:
-            self.w = self.w.reshape(-1, 1)
+        self.x = as_columns("x", self.x)
+        self.w = np.empty((n, 0)) if self.w is None else as_columns("w", self.w)
         if self.x.shape[0] != n or self.w.shape[0] != n:
             raise DataError(
                 f"row mismatch: y has {n}, x has {self.x.shape[0]}, w has {self.w.shape[0]}"

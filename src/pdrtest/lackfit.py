@@ -9,11 +9,12 @@ resampled statistics at least as large as the observed one, which makes
 the decision invariant to any common positive rescaling.  The statistic,
 the score mean and the multiplier pass are all dominance sums over the
 projected sample, each computed by one :class:`DominanceKernel` per point
-set; no n x n array is formed.
+set; no n x n array is formed above n = 1024.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -25,22 +26,30 @@ from .fit import FitResult, influence_vectors, nls_fit
 from .sdr import BasisEstimate, estimate_basis
 
 
-#: Entries of one dense block: the block kernel's column blocks and its
-#: multiplier blocks, so that no n x n array is formed (up to n = 1024 one
-#: block holds all columns).
+#: Entries of one dense indicator block.  Up to n = 1024 one block holds
+#: every column, and the block kernel builds its indicators once; above
+#: that it builds column blocks of this size on every call, with multiplier
+#: blocks of as many rows to amortise each rebuild, so that no n x n array
+#: is formed.
 BLOCK_ELEMENTS = 1 << 20
 
 
-#: Entries of one multiplier block over the sorted kernel: 512 KB of
-#: float64, so that a block and its sorted copy stay in a core's L2 cache.
-#: A sweep of 2^15 to 2^18 at n = 8000 and 2000 (2 cores, 2 MB L2 each) was
-#: flat to within noise from 2^15 to 2^17 and slower above.
+#: Entries of one multiplier block over the sorted kernel, and over a block
+#: kernel whose indicators are built whole: 512 KB of float64, so that a
+#: block and its working copy stay in a core's L2 cache.  A sweep of 2^15
+#: to 2^18 at n = 8000 and 2000 (2 cores, 2 MB L2 each) was flat to within
+#: noise from 2^15 to 2^17 and slower above.
 CACHE_ELEMENTS = 1 << 16
 
 
 def block_width(n: int) -> int:
     """Columns, or replicate rows, of one block over n observations."""
     return max(1, BLOCK_ELEMENTS // n)
+
+
+def cache_rows(n: int) -> int:
+    """Replicate rows of one cache-sized multiplier block over n observations."""
+    return max(1, CACHE_ELEMENTS // n)
 
 
 def indicator_block(points: np.ndarray, cols: slice) -> np.ndarray:
@@ -92,7 +101,7 @@ class SortedKernel(DominanceKernel):
 
     @property
     def rows(self) -> int:
-        return max(1, CACHE_ELEMENTS // self.n)
+        return cache_rows(self.n)
 
     def gather(self, values: np.ndarray, out: np.ndarray) -> np.ndarray:
         # "clip" on indices that are all valid: the default "raise" buffers ``out``
@@ -104,22 +113,38 @@ class SortedKernel(DominanceKernel):
 
 class BlockKernel(DominanceKernel):
     """Two or more columns of points: slot j is point j, and the sums are
-    products with dense column blocks of the indicators, so memory stays
-    O(block * n)."""
+    products with the dense indicators.  While one block holds every
+    column (``n <= block_width(n)``), the float64 indicator matrix is
+    built once, on first use, and a multiplier block has the cache-sized
+    rows of the sorted kernel.  Above that, column blocks are built on
+    every call, a multiplier block has ``block_width(n)`` rows, and memory
+    stays O(block * n)."""
 
     def __init__(self, points: np.ndarray):
         self.points, self.n = points, points.shape[0]
         self.slot_of, self.weights = np.arange(self.n), np.ones(self.n)
 
     @property
+    def whole(self) -> bool:
+        """Whether one block holds every column of the indicators."""
+        return self.n <= block_width(self.n)
+
+    @property
     def rows(self) -> int:
-        return block_width(self.n)
+        return cache_rows(self.n) if self.whole else block_width(self.n)
+
+    @functools.cached_property
+    def indicators(self) -> np.ndarray:
+        """The (n, n) float64 indicator matrix, for ``whole`` kernels."""
+        return indicator_block(self.points, slice(0, self.n)).astype(float)
 
     def gather(self, values: np.ndarray, out: np.ndarray) -> np.ndarray:
         np.copyto(out, values)
         return out
 
     def accumulate(self, x: np.ndarray, out: np.ndarray) -> np.ndarray:
+        if self.whole:
+            return np.matmul(x, self.indicators, out=out)
         for cols in column_blocks(self.n):
             np.matmul(x, indicator_block(self.points, cols), out=out[..., cols])
         return out
@@ -311,10 +336,12 @@ def mc_pvalue(t_n: float, a: InfluenceOperator, m: int, seed: int) -> tuple[floa
     ``u_j @ a`` over n^2.
 
     The multipliers are drawn into one reused block buffer, of the rows the
-    operator's kernel sets (8 at n = 8000 over the sorted kernel, so that
-    the draws and their sorted copy stay in cache), and each block is one
-    :meth:`InfluenceOperator.square_sums`.  Returns the p-value and the
-    replicate statistics themselves.
+    operator's kernel sets: about 2^16 entries over the sorted kernel and
+    over a block kernel up to n = 1024 (8 rows at n = 8000, 129 at the
+    housing data's 506), so that the draws and their working copy stay in
+    cache, and ``block_width(n)`` rows over a larger block kernel.  Each
+    block is one :meth:`InfluenceOperator.square_sums`.  Returns the
+    p-value and the replicate statistics themselves.
     """
     if m < 1:
         raise ValueError(f"need at least one replicate, got {m}")

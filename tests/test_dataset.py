@@ -92,6 +92,21 @@ class TestDatasetValidation:
         assert ds.p2 == 0
         assert ds.w.shape == (3, 0)
 
+    @pytest.mark.parametrize("name, shape", [("x", (60, 2, 1)), ("w", (60, 1, 1))])
+    def test_three_dimensional_array_named(self, name, shape):
+        arrays = {"x": np.ones((60, 2)), "w": None, name: np.ones(shape)}
+        message = rf"^{name} must be 1-D or 2-D, got shape \({shape[0]}, {shape[1]}, 1\)$"
+        with pytest.raises(DataError, match=message):
+            Dataset(y=np.arange(60.0), **arrays)
+
+    def test_one_dimensional_x_is_one_column(self):
+        x = np.linspace(0.0, 1.0, 5)
+        ds = Dataset(y=np.arange(5.0), x=x, w=x[::-1])
+        assert ds.x.shape == ds.w.shape == (5, 1)
+        np.testing.assert_array_equal(ds.x[:, 0], x)
+        with pytest.raises(DataError, match="row mismatch: y has 5, x has 4"):
+            Dataset(y=np.arange(5.0), x=x[:4], w=None)
+
 
 class TestStandardize:
     def test_whitened_input_passes_through(self):

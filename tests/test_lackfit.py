@@ -231,6 +231,8 @@ class TestInfluenceOperator:
 
     @given(case=st.sampled_from(["ex1", "ex3", "ex5c1", "ex5c3"]), n=st.integers(30, 60),
            m=st.integers(1, 90), width=st.integers(1, 70), seed=st.integers(0, 2**32 - 1))
+    @example(case="ex5c3", n=30, m=90, width=30, seed=1)  # indicators whole, three row blocks
+    @example(case="ex5c3", n=30, m=90, width=7, seed=1)  # column blocks built per call
     @settings(max_examples=40, deadline=None)
     def test_mc_pvalue_matches_dense_product(self, case, n, m, width, seed):
         ds, fit, proj = fitted_instance(case, n, 0.4, seed)
@@ -282,6 +284,36 @@ class TestInfluenceOperator:
             assert_rel(np.eye(n) @ a, dense)
             assert_rel(u @ a, u @ dense)
             assert_rel(a.square_sums(u.copy(), np.empty_like(u)), np.sum((u @ dense) ** 2, axis=1))
+
+    @pytest.mark.parametrize("width, builds", [(50, 2), (7, 8 * (2 + 23))])
+    def test_block_kernel_indicator_builds(self, monkeypatch, width, builds):
+        # two kernels (t_n's and the operator's): built whole, once each;
+        # in 8 column blocks, rebuilt for t_n, the score mean and each of
+        # the 23 multiplier blocks of 7 rows
+        built = []
+        build = lackfit.indicator_block
+        monkeypatch.setattr(lackfit, "indicator_block", lambda p, cols: built.append(cols) or build(p, cols))
+        blocks_of(monkeypatch, 50, width)
+        rng = np.random.default_rng(30)
+        s, w = rng.standard_normal((50, 2)), rng.integers(0, 4, (50, 1)).astype(float)
+        proj = ProjectedSample.of(s, w)
+        fit = nls_fit(Dataset(y=rng.standard_normal(50), x=s, w=w), get_family("linear", 2, 1))
+        v = influence_vectors(fit)
+        t_n = tn_statistic(fit.residuals, proj)
+        a = rho_matrix(fit, v, proj)
+        _, reps = mc_pvalue(t_n, a, 160, 31)
+        assert len(built) == builds
+        assert_rel(reps, dense_oracles.mc_replicates(dense_oracles.rho_matrix(fit, v, proj), 160, 31))
+
+    def test_w_path_run_test_memory_at_boston(self):
+        tracemalloc.start()
+        try:
+            rep = run_test(load_boston(), "linear+w", m=2000, seed=1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert rep.q_hat == 2 and rep.replicates.shape == (2000,)
+        assert peak < 8e6, f"tracemalloc peak {peak / 1e6:.1f} MB"
 
     def test_w_free_mc_pvalue_memory_at_eight_thousand(self):
         ds, fit, proj = fitted_instance("ex1", 8000, 0.6, 28)
