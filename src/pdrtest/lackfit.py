@@ -9,12 +9,17 @@ resampled statistics at least as large as the observed one, which makes
 the decision invariant to any common positive rescaling.  The statistic,
 the score mean and the multiplier pass are all dominance sums over the
 projected sample, each computed by one :class:`DominanceKernel` per point
-set; no n x n array is formed above n = 1024.
+set; no n x n array is formed above n = 1024.  From
+``THREAD_CROSSOVER`` observations, a W-free multiplier pass runs one span
+of whole replicate blocks per core, concurrently, and gives the same
+replicates bit for bit as one span would.
 """
 
 from __future__ import annotations
 
 import functools
+import os
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -40,6 +45,24 @@ BLOCK_ELEMENTS = 1 << 20
 #: to 2^18 at n = 8000 and 2000 (2 cores, 2 MB L2 each) was flat to within
 #: noise from 2^15 to 2^17 and slower above.
 CACHE_ELEMENTS = 1 << 16
+
+
+#: Observations from which a sorted-kernel multiplier pass runs on every
+#: core.  The normal draws release the GIL, but the per-row seeding does
+#: not, and with the thread start-up it outweighs the gain at small n: two
+#: sweeps of the W-free ``mc_pvalue`` at m = 1000 on 2 cores put the
+#: break-even between n = 1500 and 3000, and both gained 20-30% from
+#: n = 4000 up.
+THREAD_CROSSOVER = 4096
+
+
+def cores() -> int:
+    """CPUs this process may run on: its affinity mask where the platform
+    has one, else every CPU."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on macOS and Windows
+        return os.cpu_count() or 1
 
 
 def block_width(n: int) -> int:
@@ -75,7 +98,8 @@ class DominanceKernel:
     order, and ``accumulate(x, out)`` turns them into slot sums.  Point j's
     sum is in slot ``slot_of[j]``, and ``weights[t]`` counts the points
     whose sum slot t holds, so ``y @ weights`` adds each point's sum once.
-    ``rows`` is the replicate rows of one multiplier block.
+    ``rows`` is the replicate rows of one multiplier block, and
+    ``threads`` the most threads a multiplier pass may run on.
     """
 
     def slot_sums(self, values: np.ndarray) -> np.ndarray:
@@ -103,6 +127,10 @@ class SortedKernel(DominanceKernel):
     def rows(self) -> int:
         return cache_rows(self.n)
 
+    @property
+    def threads(self) -> int:
+        return cores() if self.n >= THREAD_CROSSOVER else 1
+
     def gather(self, values: np.ndarray, out: np.ndarray) -> np.ndarray:
         # "clip" on indices that are all valid: the default "raise" buffers ``out``
         return np.take(values, self.order, axis=-1, out=out, mode="clip")
@@ -118,7 +146,10 @@ class BlockKernel(DominanceKernel):
     built once, on first use, and a multiplier block has the cache-sized
     rows of the sorted kernel.  Above that, column blocks are built on
     every call, a multiplier block has ``block_width(n)`` rows, and memory
-    stays O(block * n)."""
+    stays O(block * n).  A pass runs on one thread: its products already
+    run on the BLAS threads."""
+
+    threads = 1
 
     def __init__(self, points: np.ndarray):
         self.points, self.n = points, points.shape[0]
@@ -159,22 +190,28 @@ def dominance_kernel(points: np.ndarray) -> DominanceKernel:
 @dataclass(frozen=True)
 class ProjectedSample:
     """Projected covariates ``s`` (n, q_hat), the partial covariates ``w``
-    (n, p2), and the dominance kernels over ``(s, w)`` (``full``, for the
-    statistic) and over ``(s[:, 0], w)`` (``first``, for the score mean and
-    the influence operator), built once; with one projection column they
-    are one object.  Dominance is componentwise and inclusive.
+    (n, p2), and the dominance kernel over ``(s[:, 0], w)`` (``first``, for
+    the score mean and the influence operator), built once.  Dominance is
+    componentwise and inclusive.
     """
 
     s: np.ndarray
     w: np.ndarray
-    full: DominanceKernel
     first: DominanceKernel
 
     @classmethod
     def of(cls, s: np.ndarray, w: np.ndarray) -> "ProjectedSample":
         """The sample of points ``(s, w)``, arrays (n, q) and (n, p2)."""
-        first = dominance_kernel(np.column_stack([s[:, :1], w]))
-        return cls(s, w, first if s.shape[1] == 1 else dominance_kernel(np.column_stack([s, w])), first)
+        return cls(s, w, dominance_kernel(np.column_stack([s[:, :1], w])))
+
+    @property
+    def full(self) -> DominanceKernel:
+        """The kernel over ``(s, w)``, for the statistic: ``first`` with one
+        projection column, else built on each use, so that its indicators
+        are not held through the multiplier pass."""
+        if self.s.shape[1] == 1:
+            return self.first
+        return dominance_kernel(np.column_stack([self.s, self.w]))
 
 
 @dataclass(frozen=True)
@@ -231,7 +268,7 @@ class TestReport:
 
 def build_projected(ds: Dataset, basis: BasisEstimate) -> ProjectedSample:
     """Project the index covariates on the estimated directions and build
-    the sample's dominance kernels."""
+    the sample's first-column dominance kernel."""
     if basis.b.shape[0] != ds.p1:
         raise ValueError(f"basis has {basis.b.shape[0]} rows, data has p1={ds.p1}")
     return ProjectedSample.of(ds.x @ basis.b, ds.w)
@@ -340,21 +377,43 @@ def mc_pvalue(t_n: float, a: InfluenceOperator, m: int, seed: int) -> tuple[floa
     over a block kernel up to n = 1024 (8 rows at n = 8000, 129 at the
     housing data's 506), so that the draws and their working copy stay in
     cache, and ``block_width(n)`` rows over a larger block kernel.  Each
-    block is one :meth:`InfluenceOperator.square_sums`.  Returns the
-    p-value and the replicate statistics themselves.
+    block is one :meth:`InfluenceOperator.square_sums`.
+
+    The blocks are cut into ``min(a.kernel.threads, blocks)`` contiguous
+    spans of whole blocks, one per thread, each with its own buffers: more
+    than one only over the sorted kernel from ``THREAD_CROSSOVER``
+    observations, on every core of the affinity mask.  The calling thread
+    runs the first span, and the helper threads are joined before this
+    returns, so none outlives the call.  A replicate is drawn and summed the
+    same way in any span, so the replicates do not depend on the thread
+    count.  Returns the p-value and the replicate statistics themselves.
     """
     if m < 1:
         raise ValueError(f"need at least one replicate, got {m}")
     n, rows = a.shape[0], a.kernel.rows
     replicates = np.empty(m)
-    u = np.empty((min(m, rows), n))
-    x = np.empty_like(u)
-    for lo in range(0, m, rows):
-        k = min(rows, m - lo)
-        for j, row in enumerate(u[:k], lo):
-            child = np.random.SeedSequence(seed, spawn_key=(j,))
-            np.random.default_rng(child).standard_normal(out=row)
-        replicates[lo:lo + k] = a.square_sums(u[:k], x[:k])
+    blocks = -(-m // rows)
+    spans = min(a.kernel.threads, blocks)
+    cuts = [min(m, rows * (blocks * i // spans)) for i in range(spans + 1)]
+
+    def span(lo: int, hi: int) -> None:
+        u = np.empty((min(hi - lo, rows), n))
+        x = np.empty_like(u)
+        for start in range(lo, hi, rows):
+            k = min(rows, hi - start)
+            for j, row in enumerate(u[:k], start):
+                child = np.random.SeedSequence(seed, spawn_key=(j,))
+                np.random.default_rng(child).standard_normal(out=row)
+            replicates[start:start + k] = a.square_sums(u[:k], x[:k])
+
+    if spans == 1:
+        span(0, m)
+    else:
+        with ThreadPoolExecutor(spans - 1) as pool:
+            helpers = [pool.submit(span, lo, hi) for lo, hi in zip(cuts[1:-1], cuts[2:])]
+            span(cuts[0], cuts[1])
+            for done in helpers:
+                done.result()
     replicates /= n * n
     return pvalue_from_replicates(t_n, replicates), replicates
 

@@ -6,6 +6,8 @@ import json
 
 import dataclasses
 import functools
+import os
+import threading
 import tracemalloc
 from types import SimpleNamespace
 
@@ -315,6 +317,18 @@ class TestInfluenceOperator:
         assert rep.q_hat == 2 and rep.replicates.shape == (2000,)
         assert peak < 8e6, f"tracemalloc peak {peak / 1e6:.1f} MB"
 
+    def test_w_path_run_test_memory_at_boston_keeps_one_indicator_matrix(self, boston):
+        # with q_hat = 2, t_n's (s, w) kernel sums one row: its 2 MB of
+        # float64 indicators are not kept through rho_matrix and mc_pvalue
+        tracemalloc.start()
+        try:
+            rep = run_test(boston, "linear+w", m=2000, seed=1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert rep.q_hat == 2 and rep.replicates.shape == (2000,)
+        assert peak < 4.5e6, f"tracemalloc peak {peak / 1e6:.1f} MB"
+
     def test_w_free_mc_pvalue_memory_at_eight_thousand(self):
         ds, fit, proj = fitted_instance("ex1", 8000, 0.6, 28)
         a = rho_matrix(fit, influence_vectors(fit), proj)
@@ -517,6 +531,89 @@ class TestMcPvalue:
             tracemalloc.stop()
         assert reps.shape == (10_000,)
         assert peak < 2e6, f"tracemalloc peak {peak / 1e6:.1f} MB"
+
+
+def threaded_pass(monkeypatch, a, m, seed, rows, cores):
+    """``mc_pvalue``'s replicates in blocks of ``rows``, run serially and
+    with the thread crossover forced below n on ``cores`` cores, and, for
+    the threaded run, the row count of every block and the threads that
+    summed them."""
+    n = a.shape[0]
+    monkeypatch.setattr(lackfit, "CACHE_ELEMENTS", n * rows)
+    _, serial = mc_pvalue(0.0, a, m, seed)
+    blocks, idents = [], set()
+    square_sums = lackfit.InfluenceOperator.square_sums
+
+    def recorded(self, u, x):
+        blocks.append(u.shape[0])
+        idents.add(threading.get_ident())
+        return square_sums(self, u, x)
+
+    monkeypatch.setattr(lackfit, "THREAD_CROSSOVER", 1)
+    monkeypatch.setattr(lackfit, "cores", lambda: cores)
+    monkeypatch.setattr(lackfit.InfluenceOperator, "square_sums", recorded)
+    _, reps = mc_pvalue(0.0, a, m, seed)
+    return serial, reps, blocks, idents
+
+
+class TestThreadedPass:
+    """The multiplier pass cut into one span of whole blocks per core gives
+    the serial pass's replicates, bit for bit."""
+
+    ROWS = 7
+
+    @pytest.mark.parametrize("m", [1, ROWS - 1, ROWS, ROWS + 1, 3 * ROWS - 2, 150])
+    @pytest.mark.parametrize("cores", [2, 5])
+    def test_sorted_kernel_matches_serial_pass(self, monkeypatch, m, cores):
+        _, fit, proj = fitted_instance("ex1", 60, 0.4, 40)
+        a = rho_matrix(fit, influence_vectors(fit), proj)
+        assert isinstance(a.kernel, lackfit.SortedKernel)
+        serial, reps, blocks, idents = threaded_pass(monkeypatch, a, m, 41, self.ROWS, cores)
+        np.testing.assert_array_equal(reps, serial)
+        # each block of the serial partition summed once; the calling thread
+        # runs one span and helpers the others (an idle helper may take two)
+        want = [self.ROWS] * (m // self.ROWS) + [m % self.ROWS] * (m % self.ROWS > 0)
+        assert sorted(blocks) == sorted(want)
+        spans = min(cores, len(want))
+        assert threading.get_ident() in idents and min(spans, 2) <= len(idents) <= spans
+
+    def test_block_kernel_stays_serial(self, monkeypatch):
+        _, fit, proj = fitted_instance("ex5c3", 60, 0.4, 42)
+        a = rho_matrix(fit, influence_vectors(fit), proj)
+        assert isinstance(a.kernel, lackfit.BlockKernel)
+        serial, reps, blocks, idents = threaded_pass(monkeypatch, a, 150, 43, self.ROWS, 4)
+        np.testing.assert_array_equal(reps, serial)
+        assert len(blocks) == 22 and idents == {threading.get_ident()}
+
+    @pytest.mark.parametrize("where", ["caller", "helper"])
+    def test_failing_span_raises_and_leaves_no_thread(self, monkeypatch, where):
+        a, _ = random_operator(np.random.default_rng(44), 40, 1, "random")
+        monkeypatch.setattr(lackfit, "CACHE_ELEMENTS", 40 * 3)
+        monkeypatch.setattr(lackfit, "THREAD_CROSSOVER", 1)
+        monkeypatch.setattr(lackfit, "cores", lambda: 3)
+        square_sums = lackfit.InfluenceOperator.square_sums
+
+        def failing(self, u, x):
+            if (threading.current_thread() is threading.main_thread()) == (where == "caller"):
+                raise RuntimeError("span failed")
+            return square_sums(self, u, x)
+
+        monkeypatch.setattr(lackfit.InfluenceOperator, "square_sums", failing)
+        before = threading.active_count()
+        with pytest.raises(RuntimeError, match="^span failed$"):
+            mc_pvalue(0.0, a, 30, 45)
+        assert threading.active_count() == before
+
+    def test_runs_without_an_affinity_call(self, monkeypatch):
+        # macOS and Windows have no os.sched_getaffinity
+        a, _ = random_operator(np.random.default_rng(46), 40, 1, "random")
+        monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+        assert lackfit.cores() == (os.cpu_count() or 1)
+        monkeypatch.setattr(lackfit, "CACHE_ELEMENTS", 40 * 3)
+        _, serial = mc_pvalue(0.0, a, 50, 47)
+        monkeypatch.setattr(lackfit, "THREAD_CROSSOVER", 1)
+        _, reps = mc_pvalue(0.0, a, 50, 47)
+        np.testing.assert_array_equal(reps, serial)
 
 
 class TestRunTest:

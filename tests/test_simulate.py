@@ -9,7 +9,7 @@ import math
 import numpy as np
 import pytest
 
-from pdrtest import DataError, design, generate, power_experiment, simulate
+from pdrtest import DataError, design, generate, lackfit, power_experiment, simulate
 from pdrtest.simulate import (
     PowerRow,
     PowerTable,
@@ -114,6 +114,17 @@ class TestPowerExperiment:
         designs = [design("ex5c1", 50, 0.0)]
         serial = power_experiment(designs, reps=6, mc_reps=25, alpha=0.05, seed=11, workers=1)
         parallel = power_experiment(designs, reps=6, mc_reps=25, alpha=0.05, seed=11, workers=2)
+        assert serial.rows == parallel.rows
+
+    def test_threaded_pass_does_not_change_rows(self, monkeypatch):
+        # forked pool workers inherit the forced crossover and run every
+        # multiplier pass on three threads
+        monkeypatch.setattr(lackfit, "THREAD_CROSSOVER", 1)
+        monkeypatch.setattr(lackfit, "CACHE_ELEMENTS", 50 * 4)
+        monkeypatch.setattr(lackfit, "cores", lambda: 3)
+        designs = [design("ex1", 50, 0.3), design("ex3", 50, 0.3)]
+        serial = power_experiment(designs, reps=8, mc_reps=25, alpha=0.2, seed=13, workers=1)
+        parallel = power_experiment(designs, reps=8, mc_reps=25, alpha=0.2, seed=13, workers=2)
         assert serial.rows == parallel.rows
 
     def test_negative_seed_named_before_any_replicate(self, monkeypatch):
