@@ -11,13 +11,14 @@ the score mean and the multiplier pass are all dominance sums over the
 projected sample, each computed by one :class:`DominanceKernel` per point
 set; no n x n array is formed above n = 1024.  From
 ``THREAD_CROSSOVER`` observations, a W-free multiplier pass runs one span
-of whole replicate blocks per core, concurrently, and gives the same
-replicates bit for bit as one span would.
+of whole replicate blocks per core, up to ``MAX_THREADS``, concurrently,
+and gives the same replicates bit for bit as one span would.
 """
 
 from __future__ import annotations
 
 import functools
+import multiprocessing
 import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
@@ -54,6 +55,12 @@ CACHE_ELEMENTS = 1 << 16
 #: break-even between n = 1500 and 3000, and both gained 20-30% from
 #: n = 4000 up.
 THREAD_CROSSOVER = 4096
+
+
+#: Threads of one sorted-kernel multiplier pass at most.  Each span holds
+#: two multiplier blocks of buffers (1 MB), and the gain was measured on
+#: 2 cores only.
+MAX_THREADS = 2
 
 
 def cores() -> int:
@@ -129,7 +136,10 @@ class SortedKernel(DominanceKernel):
 
     @property
     def threads(self) -> int:
-        return cores() if self.n >= THREAD_CROSSOVER else 1
+        # a pool worker (simulate's) shares the cores with its siblings
+        if self.n < THREAD_CROSSOVER or multiprocessing.parent_process() is not None:
+            return 1
+        return min(cores(), MAX_THREADS)
 
     def gather(self, values: np.ndarray, out: np.ndarray) -> np.ndarray:
         # "clip" on indices that are all valid: the default "raise" buffers ``out``
@@ -382,7 +392,9 @@ def mc_pvalue(t_n: float, a: InfluenceOperator, m: int, seed: int) -> tuple[floa
     The blocks are cut into ``min(a.kernel.threads, blocks)`` contiguous
     spans of whole blocks, one per thread, each with its own buffers: more
     than one only over the sorted kernel from ``THREAD_CROSSOVER``
-    observations, on every core of the affinity mask.  The calling thread
+    observations, on the cores of the affinity mask up to ``MAX_THREADS``,
+    and never in a multiprocessing child such as a ``simulate`` pool
+    worker.  The calling thread
     runs the first span, and the helper threads are joined before this
     returns, so none outlives the call.  A replicate is drawn and summed the
     same way in any span, so the replicates do not depend on the thread

@@ -550,6 +550,7 @@ def threaded_pass(monkeypatch, a, m, seed, rows, cores):
         return square_sums(self, u, x)
 
     monkeypatch.setattr(lackfit, "THREAD_CROSSOVER", 1)
+    monkeypatch.setattr(lackfit, "MAX_THREADS", cores)
     monkeypatch.setattr(lackfit, "cores", lambda: cores)
     monkeypatch.setattr(lackfit.InfluenceOperator, "square_sums", recorded)
     _, reps = mc_pvalue(0.0, a, m, seed)
@@ -576,6 +577,15 @@ class TestThreadedPass:
         assert sorted(blocks) == sorted(want)
         spans = min(cores, len(want))
         assert threading.get_ident() in idents and min(spans, 2) <= len(idents) <= spans
+
+    def test_sorted_kernel_thread_count(self, monkeypatch):
+        kernel = lackfit.SortedKernel(np.arange(8.0)[:, None])
+        monkeypatch.setattr(lackfit, "cores", lambda: 64)
+        assert kernel.threads == 1  # below the crossover
+        monkeypatch.setattr(lackfit, "THREAD_CROSSOVER", 8)
+        assert kernel.threads == lackfit.MAX_THREADS == 2
+        monkeypatch.setattr(lackfit, "cores", lambda: 1)
+        assert kernel.threads == 1
 
     def test_block_kernel_stays_serial(self, monkeypatch):
         _, fit, proj = fitted_instance("ex5c3", 60, 0.4, 42)

@@ -5,11 +5,13 @@ from __future__ import annotations
 import dataclasses
 import logging
 import math
+import threading
+from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
 import pytest
 
-from pdrtest import DataError, design, generate, lackfit, power_experiment, simulate
+from pdrtest import DataError, design, generate, lackfit, power_experiment, run_test, simulate
 from pdrtest.simulate import (
     PowerRow,
     PowerTable,
@@ -20,6 +22,32 @@ from pdrtest.simulate import (
     render_curves,
     render_text,
 )
+
+
+def force_threads(monkeypatch) -> set[int]:
+    """Force the threaded multiplier pass at n = 50 (4-row blocks, three
+    cores) and return the set that collects the threads summing its blocks."""
+    idents: set[int] = set()
+    square_sums = lackfit.InfluenceOperator.square_sums
+
+    def recorded(self, u, x):
+        idents.add(threading.get_ident())
+        return square_sums(self, u, x)
+
+    monkeypatch.setattr(lackfit, "THREAD_CROSSOVER", 1)
+    monkeypatch.setattr(lackfit, "CACHE_ELEMENTS", 50 * 4)
+    monkeypatch.setattr(lackfit, "cores", lambda: 3)
+    monkeypatch.setattr(lackfit.InfluenceOperator, "square_sums", recorded)
+    return idents
+
+
+def _worker_pass(ds):
+    """In a pool worker, with the threaded pass forced here rather than
+    inherited: one test's replicates and how many threads summed them."""
+    with pytest.MonkeyPatch.context() as monkeypatch:
+        idents = force_threads(monkeypatch)
+        replicates = run_test(ds, "linear", m=25, seed=15).replicates
+    return replicates, len(idents)
 
 
 class _ErrorFreeRng:
@@ -117,15 +145,26 @@ class TestPowerExperiment:
         assert serial.rows == parallel.rows
 
     def test_threaded_pass_does_not_change_rows(self, monkeypatch):
-        # forked pool workers inherit the forced crossover and run every
-        # multiplier pass on three threads
-        monkeypatch.setattr(lackfit, "THREAD_CROSSOVER", 1)
-        monkeypatch.setattr(lackfit, "CACHE_ELEMENTS", 50 * 4)
-        monkeypatch.setattr(lackfit, "cores", lambda: 3)
+        # with workers=1 every multiplier pass runs here, on two threads (a
+        # new helper each pass); pool workers run theirs on one, whatever
+        # the start method
+        idents = force_threads(monkeypatch)
         designs = [design("ex1", 50, 0.3), design("ex3", 50, 0.3)]
-        serial = power_experiment(designs, reps=8, mc_reps=25, alpha=0.2, seed=13, workers=1)
-        parallel = power_experiment(designs, reps=8, mc_reps=25, alpha=0.2, seed=13, workers=2)
-        assert serial.rows == parallel.rows
+        threaded = power_experiment(designs, reps=8, mc_reps=25, alpha=0.2, seed=13, workers=1)
+        assert threading.get_ident() in idents and len(idents) > 1
+        pooled = power_experiment(designs, reps=8, mc_reps=25, alpha=0.2, seed=13, workers=2)
+        assert threaded.rows == pooled.rows
+
+    def test_pool_worker_pass_stays_on_one_thread(self, monkeypatch):
+        ds = generate(design("ex1", 50, 0.3), np.random.default_rng(14))
+        idents = force_threads(monkeypatch)
+        here = run_test(ds, "linear", m=25, seed=15).replicates
+        assert len(idents) == 2
+        with ProcessPoolExecutor(max_workers=2) as pool:
+            outcomes = list(pool.map(_worker_pass, [ds, ds]))
+        for replicates, threads in outcomes:
+            np.testing.assert_array_equal(replicates, here)
+            assert threads == 1
 
     def test_negative_seed_named_before_any_replicate(self, monkeypatch):
         def fail(*args, **kwargs):
