@@ -135,7 +135,7 @@ def load_csv(path: str | Path, schema: Schema) -> Dataset:
             fewer than 3 usable rows.
     """
     path = Path(path)
-    with open(path, newline="", encoding="utf-8") as fh:
+    with open(path, newline="", encoding="utf-8-sig") as fh:  # Excel writes a BOM
         reader = csv.reader(fh)
         try:
             header = next(reader)

@@ -7,18 +7,19 @@ approximated by multiplying estimated influence contributions with
 independent standard normal draws; the p-value is the fraction of
 resampled statistics at least as large as the observed one, which makes
 the decision invariant to any common positive rescaling.  The statistic,
-the score mean and the multiplier pass are all dominance sums over the
-projected sample, each computed by one :class:`DominanceKernel` per point
-set; no n x n array is formed above n = 1024.  From
-``THREAD_CROSSOVER`` observations, a W-free multiplier pass runs one span
-of whole replicate blocks per core, up to ``MAX_THREADS``, concurrently,
-and gives the same replicates bit for bit as one span would.
+the score mean and each resampled statistic are one operation, the slot
+sums of a :class:`DominanceKernel`, and the statistic and the replicates
+are read from them alike, ``(y * y) @ weights / n^2``; no n x n array is
+formed above n = 1024.  From ``THREAD_CROSSOVER`` observations, a W-free
+multiplier pass runs one span of whole replicate blocks per core, up to
+``MAX_THREADS``, concurrently, and gives one span's replicates bit for bit.
 """
 
 from __future__ import annotations
 
 import functools
 import multiprocessing
+import numbers
 import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
@@ -99,24 +100,19 @@ def column_blocks(n: int) -> list[slice]:
 
 class DominanceKernel:
     """Dominance sums ``out[..., j] = sum_i values[..., i] * 1{points_i <=
-    points_j}`` over fixed (n, k) ``points``, computed in slot order.
+    points_j}`` over fixed (n, k) ``points``, in one operation:
+    ``slot_sums(values, out=None)`` writes them, along the last axis and in
+    the kernel's slot order, to ``out`` (a new array if None) and returns it.
 
-    ``gather(values, out)`` puts values, along the last axis, into slot
-    order, and ``accumulate(x, out)`` turns them into slot sums.  Point j's
-    sum is in slot ``slot_of[j]``, and ``weights[t]`` counts the points
-    whose sum slot t holds, so ``y @ weights`` adds each point's sum once.
-    ``rows`` is the replicate rows of one multiplier block, and
-    ``threads`` the most threads a multiplier pass may run on.
+    Point j's sum is in slot ``slot_of[j]``, and ``weights[t]`` counts the
+    points whose sum slot t holds, so ``(y * y) @ weights`` adds each
+    point's squared sum once.  ``rows`` is the replicate rows of one
+    multiplier block, and ``threads`` the most threads a multiplier pass
+    may run on.
     """
 
-    def slot_sums(self, values: np.ndarray) -> np.ndarray:
-        """Dominance sums of ``values`` in slot order."""
-        x = self.gather(values, np.empty(np.shape(values)))
-        return self.accumulate(x, np.empty_like(x))
-
-    def sums(self, values: np.ndarray) -> np.ndarray:
-        """Dominance sums of ``values``, point by point."""
-        return np.take(self.slot_sums(values), self.slot_of, axis=-1)
+    def slot_sums(self, values: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+        raise NotImplementedError
 
 
 class SortedKernel(DominanceKernel):
@@ -141,12 +137,10 @@ class SortedKernel(DominanceKernel):
             return 1
         return min(cores(), MAX_THREADS)
 
-    def gather(self, values: np.ndarray, out: np.ndarray) -> np.ndarray:
+    def slot_sums(self, values: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
         # "clip" on indices that are all valid: the default "raise" buffers ``out``
-        return np.take(values, self.order, axis=-1, out=out, mode="clip")
-
-    def accumulate(self, x: np.ndarray, out: np.ndarray) -> np.ndarray:
-        return np.cumsum(x, axis=-1, out=out)
+        out = np.take(values, self.order, axis=-1, out=out, mode="clip")
+        return np.cumsum(out, axis=-1, out=out)
 
 
 class BlockKernel(DominanceKernel):
@@ -179,15 +173,13 @@ class BlockKernel(DominanceKernel):
         """The (n, n) float64 indicator matrix, for ``whole`` kernels."""
         return indicator_block(self.points, slice(0, self.n)).astype(float)
 
-    def gather(self, values: np.ndarray, out: np.ndarray) -> np.ndarray:
-        np.copyto(out, values)
-        return out
-
-    def accumulate(self, x: np.ndarray, out: np.ndarray) -> np.ndarray:
+    def slot_sums(self, values: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
         if self.whole:
-            return np.matmul(x, self.indicators, out=out)
+            return np.matmul(values, self.indicators, out=out)
+        if out is None:
+            out = np.empty(np.shape(values))
         for cols in column_blocks(self.n):
-            np.matmul(x, indicator_block(self.points, cols), out=out[..., cols])
+            np.matmul(values, indicator_block(self.points, cols), out=out[..., cols])
         return out
 
 
@@ -290,8 +282,9 @@ def tn_statistic(residuals: np.ndarray, proj: ProjectedSample) -> float:
     n = resid.shape[0]
     if proj.s.shape[0] != n:
         raise ValueError(f"{n} residuals but {proj.s.shape[0]} projected points")
-    v = proj.full.sums(resid) / np.sqrt(n)
-    return float(np.mean(v**2))
+    kernel = proj.full
+    y = kernel.slot_sums(resid)
+    return float(np.square(y, out=y) @ kernel.weights / (n * n))
 
 
 class InfluenceOperator:
@@ -302,12 +295,13 @@ class InfluenceOperator:
     influence vectors and ``G_j`` the indicator-weighted score mean.  Only
     ``u @ a`` is defined, and no n x n array is formed.
 
-    :meth:`slot_pass` computes ``u @ a`` in the slot order of the
-    first-column :class:`DominanceKernel`: ``x = gather(u)``,
-    ``c = x @ v``, ``x *= r``, ``y = accumulate(x)``, ``y -= c @ G``, with
-    ``r``, ``v`` and ``G = accumulate(gather(score')) / n`` in slot order,
-    built once, here.  ``__rmatmul__`` reads column j at ``slot_of[j]``, and
-    ``(y * y) @ weights`` is the row-wise sum of squares of ``u @ a``.
+    ``u @ a`` is the dominance sums of ``u * r`` less ``(u @ v) @ G``, so
+    :meth:`slot_pass` is ``c = u @ v``, ``u *= r``, ``y = slot_sums(u)``,
+    ``y -= c @ G``: one :meth:`DominanceKernel.slot_sums` of the
+    first-column kernel.  ``r`` and ``v`` stay in point order, and only
+    ``G = slot_sums(score') / n`` is in slot order, built once, here.  A
+    replicate reads ``y`` as ``t_n`` reads its sums, ``(y * y) @ weights``,
+    and ``__rmatmul__`` reads column j at ``slot_of[j]``.
     """
 
     __array_ufunc__ = None  # ``u @ a`` on an ndarray ``u`` calls __rmatmul__
@@ -315,19 +309,18 @@ class InfluenceOperator:
     def __init__(self, r: np.ndarray, v: np.ndarray, score: np.ndarray, kernel: DominanceKernel):
         n = r.shape[0]
         self.kernel, self.shape = kernel, (n, n)
-        self.r = kernel.gather(r, np.empty(n))
-        self.v = np.ascontiguousarray(kernel.gather(v.T, np.empty(v.T.shape)).T)
+        # C order: ``u @ v`` sums in one order, to the same bits, for any layout of v
+        self.r, self.v = r, np.ascontiguousarray(v)
         self.g = kernel.slot_sums(score.T) / n
 
     def slot_pass(self, u: np.ndarray, x: np.ndarray) -> np.ndarray:
-        """``u @ a`` in slot order, written to ``u``.  ``x`` is the working
-        buffer; the two swap roles, so the pass needs no third one."""
-        x = self.kernel.gather(u, x)
-        c = x @ self.v
-        x *= self.r
-        self.kernel.accumulate(x, u)
-        u -= np.matmul(c, self.g, out=x)
-        return u
+        """``u @ a`` in slot order, written to ``x``; ``u`` is overwritten.
+        The two buffers swap roles, so the pass needs no third one."""
+        c = u @ self.v
+        u *= self.r
+        y = self.kernel.slot_sums(u, x)
+        y -= np.matmul(c, self.g, out=u)
+        return y
 
     def square_sums(self, u: np.ndarray, x: np.ndarray) -> np.ndarray:
         """Row-wise sums of squares of ``u @ a`` for (k, n) multipliers ``u``.
@@ -394,17 +387,17 @@ def mc_pvalue(t_n: float, a: InfluenceOperator, m: int, seed: int) -> tuple[floa
     than one only over the sorted kernel from ``THREAD_CROSSOVER``
     observations, on the cores of the affinity mask up to ``MAX_THREADS``,
     and never in a multiprocessing child such as a ``simulate`` pool
-    worker.  The calling thread
-    runs the first span, and the helper threads are joined before this
-    returns, so none outlives the call.  A replicate is drawn and summed the
-    same way in any span, so the replicates do not depend on the thread
-    count.  Returns the p-value and the replicate statistics themselves.
+    worker.  The calling thread runs the first span, and the helper threads
+    are joined before this returns, so none outlives the call.  A replicate
+    is drawn and summed the same way in any span, so the replicates do not
+    depend on the thread count.  Returns the p-value and the replicate
+    statistics themselves.
     """
     if m < 1:
         raise ValueError(f"need at least one replicate, got {m}")
     n, rows = a.shape[0], a.kernel.rows
     replicates = np.empty(m)
-    blocks = -(-m // rows)
+    blocks = (m + rows - 1) // rows  # no negation: m may be an unsigned numpy integer
     spans = min(a.kernel.threads, blocks)
     cuts = [min(m, rows * (blocks * i // spans)) for i in range(spans + 1)]
 
@@ -432,11 +425,17 @@ def mc_pvalue(t_n: float, a: InfluenceOperator, m: int, seed: int) -> tuple[floa
 
 def check_settings(m: int, alpha: float, seed: int) -> None:
     """Reject a Monte Carlo size, level or seed the test cannot use, before
-    any work is done."""
-    if seed < 0:
+    any work is done.  ``m`` and ``seed`` must be integers, Python's or
+    numpy's; a float or a bool is refused even when it is integral."""
+    def integer(k) -> bool:
+        return isinstance(k, numbers.Integral) and not isinstance(k, bool)
+
+    if not integer(seed) or seed < 0:
         raise DataError(f"seed must be a non-negative integer, got {seed}")
     if not 0.0 < alpha < 1.0:
         raise ValueError(f"alpha must be in (0, 1), got {alpha}")
+    if not integer(m):
+        raise ValueError(f"the number of replicates must be an integer, got {m}")
     if m < 1:
         raise ValueError(f"need at least one replicate, got {m}")
 

@@ -228,11 +228,12 @@ def render_csv(table: PowerTable) -> str:
 
 
 def render_text(table: PowerTable) -> str:
-    """Aligned plain-text rendering of the table."""
-    header = ["case", "n", "a", "reps", "mc_reps", "alpha", "rate", "seed"]
+    """Aligned plain-text rendering of the table, one column per ``PowerRow``
+    field: the rate to four decimals, other floats in ``%g``."""
+    header = _row_fields()
     body = [
-        [r.case, str(r.n), f"{r.a:g}", str(r.reps), str(r.mc_reps),
-         f"{r.alpha:g}", f"{r.rejection_rate:.4f}", str(r.seed)]
+        [f"{v:.4f}" if name == "rejection_rate" else f"{v:g}" if isinstance(v, float) else str(v)
+         for name, v in zip(header, dataclasses.astuple(r))]
         for r in table.rows
     ]
     widths = [max(len(row[i]) for row in [header, *body]) for i in range(len(header))]

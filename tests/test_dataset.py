@@ -2,11 +2,14 @@
 
 from __future__ import annotations
 
+import codecs
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 from pdrtest import DataError, Dataset, Schema, SingularityError, load_csv
-from pdrtest.dataset import BOSTON_COLUMNS, boston_path, prepare_boston, standardize
+from pdrtest.dataset import BOSTON_COLUMNS, BOSTON_SCHEMA, boston_path, prepare_boston, standardize
 
 
 class TestLoadCsv:
@@ -41,6 +44,21 @@ class TestLoadCsv:
         x_names = tuple(c for c in BOSTON_COLUMNS if c not in ("MEDV", "CRIM", "CHAS"))
         ds = load_csv(boston_path(), Schema(y="MEDV", x=x_names, w=("CRIM",)))
         assert (ds.n, ds.p1, ds.p2) == (506, 11, 1)
+
+    def test_byte_order_mark_ignored(self, write_csv, tmp_path):
+        # Excel's "CSV UTF-8" starts the file with a byte-order mark, which
+        # must not become part of the first column's name
+        path = write_csv("t.csv", ["y", "x1"], [[1, 2], [3, 4], [5, 6]])
+        marked = tmp_path / "marked.csv"
+        marked.write_bytes(codecs.BOM_UTF8 + Path(path).read_bytes())
+        ds = load_csv(marked, Schema(y="y", x=("x1",)))
+        np.testing.assert_array_equal(ds.y, [1.0, 3.0, 5.0])
+        # the housing data, first column CRIM, loads the same with a mark
+        marked.write_bytes(codecs.BOM_UTF8 + boston_path().read_bytes())
+        got, want = load_csv(marked, BOSTON_SCHEMA), load_csv(boston_path(), BOSTON_SCHEMA)
+        for name in ("y", "x", "w"):
+            np.testing.assert_array_equal(getattr(got, name), getattr(want, name))
+        assert (got.column_names, got.dropped_rows) == (want.column_names, want.dropped_rows)
 
     def test_missing_file(self, tmp_path):
         with pytest.raises(FileNotFoundError):

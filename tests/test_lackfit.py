@@ -42,6 +42,11 @@ from pdrtest import (
 from pdrtest.lackfit import ProjectedSample
 
 
+def point_sums(kernel, values):
+    """The kernel's dominance sums of ``values``, point by point."""
+    return np.take(kernel.slot_sums(values), kernel.slot_of, axis=-1)
+
+
 def proj_from_points(s, w=None):
     s = np.asarray(s, dtype=float).reshape(len(s), -1)  # a 1-d list: n scalar projections
     return ProjectedSample.of(s, np.empty((s.shape[0], 0)) if w is None else w)
@@ -49,7 +54,7 @@ def proj_from_points(s, w=None):
 
 def indicators(kernel):
     """The library's dominance indicators: its dominance sums of the unit rows."""
-    sums = kernel.sums(np.eye(kernel.n))
+    sums = point_sums(kernel, np.eye(kernel.n))
     assert np.isin(sums, (0.0, 1.0)).all()
     return sums == 1.0
 
@@ -174,7 +179,7 @@ def blocks_of(monkeypatch, n, width):
 def dominance_sums(values, points):
     """The library's dominance sums over raw (n,) or (n, k) points."""
     points = np.asarray(points, dtype=float)
-    return lackfit.dominance_kernel(points.reshape(points.shape[0], -1)).sums(values)
+    return point_sums(lackfit.dominance_kernel(points.reshape(points.shape[0], -1)), values)
 
 
 class TestDominanceSums:
@@ -201,6 +206,18 @@ class TestDominanceSums:
         blocks_of(monkeypatch, 300, 1)
         np.testing.assert_array_equal(dominance_sums(values, points), want)
         assert_rel(want, values @ indicator_matrix(points[:, None]))
+
+    @pytest.mark.parametrize("k, width", [(1, 30), (2, 30), (2, 7)])  # sorted, whole, column blocks
+    @pytest.mark.parametrize("shape", [(30,), (4, 30)])
+    def test_slot_sums_into_out(self, monkeypatch, k, width, shape):
+        rng = np.random.default_rng(53)
+        kernel = lackfit.dominance_kernel(draw_points(rng, 30, k, "tied"))
+        blocks_of(monkeypatch, 30, width)
+        values = rng.standard_normal(shape)
+        out = np.empty(shape)
+        assert kernel.slot_sums(values, out) is out
+        np.testing.assert_array_equal(out, kernel.slot_sums(values))
+        assert_rel(point_sums(kernel, values), values @ indicator_matrix(kernel.points))
 
     def test_ties_read_at_end_of_run(self):
         sums = dominance_sums(np.array([1.0, 10.0, 100.0, 1000.0]), np.array([2.0, 1.0, 2.0, 3.0]))
@@ -286,6 +303,21 @@ class TestInfluenceOperator:
             assert_rel(np.eye(n) @ a, dense)
             assert_rel(u @ a, u @ dense)
             assert_rel(a.square_sums(u.copy(), np.empty_like(u)), np.sum((u @ dense) ** 2, axis=1))
+
+    @pytest.mark.parametrize("case", ["ex1", "ex5c3"])
+    def test_inputs_left_unchanged(self, case):
+        # the operator holds the residuals and influence vectors it is given
+        _, fit, proj = fitted_instance(case, 50, 0.4, 50)
+        v = influence_vectors(fit)
+        u = np.random.default_rng(51).standard_normal((4, 50))
+        given = (fit.residuals, v, fit.score, u)
+        before = [x.copy() for x in given]
+        a = rho_matrix(fit, v, proj)
+        mc_pvalue(0.0, a, 30, 52)
+        assert_rel(u[0] @ a, (u @ a)[0])
+        assert_rel(u @ a, u @ (np.eye(50) @ a))
+        for got, want in zip(given, before):
+            np.testing.assert_array_equal(got, want)
 
     @pytest.mark.parametrize("width, builds", [(50, 2), (7, 8 * (2 + 23))])
     def test_block_kernel_indicator_builds(self, monkeypatch, width, builds):
@@ -675,6 +707,28 @@ class TestRunTest:
         ds = generate(design("ex1", 50, 0.0), np.random.default_rng(18))
         with pytest.raises(ValueError, match="alpha"):
             run_test(ds, "linear", m=10, seed=1, alpha=1.2)
+
+    @pytest.mark.parametrize("setting, error", [
+        ({"seed": 1.5}, DataError), ({"seed": 1.0}, DataError), ({"seed": True}, DataError),
+        ({"m": 2.5}, ValueError), ({"m": 50.0}, ValueError), ({"m": True}, ValueError),
+    ])
+    def test_non_integer_seed_or_m_named_before_any_work(self, monkeypatch, setting, error):
+        def fail(*args, **kwargs):
+            raise AssertionError("basis estimated before the settings were checked")
+
+        ds = generate(design("ex1", 50, 0.0), np.random.default_rng(18))
+        monkeypatch.setattr(lackfit, "estimate_basis", fail)
+        with pytest.raises(error, match="integer, got"):
+            run_test(ds, "linear", **{"m": 50, "seed": 1, **setting})
+
+    @pytest.mark.filterwarnings("error")  # an unsigned m must not wrap round in the block count
+    @pytest.mark.parametrize("m, seed", [(np.int64(20), np.int64(3)), (20, np.uint64(2**64 - 1)),
+                                         (np.uint32(20), 2**64)])
+    def test_numpy_and_large_integers_accepted(self, m, seed):
+        ds = generate(design("ex1", 50, 0.0), np.random.default_rng(18))
+        rep = run_test(ds, "linear", m=m, seed=seed)
+        assert rep.replicates.shape == (20,)
+        np.testing.assert_array_equal(rep.replicates, run_test(ds, "linear", m=20, seed=int(seed)).replicates)
 
     def test_two_w_columns_end_to_end(self):
         rng = np.random.default_rng(23)

@@ -189,6 +189,24 @@ class TestPowerExperiment:
                 power_experiment([design("ex1", 40, 0.0)], 2, mc_reps, alpha, 1, workers=1)
         assert not [r for r in caplog.records if "replicate failed" in r.getMessage()]
 
+    @pytest.mark.parametrize("mc_reps, seed, error, message", [
+        (10, 1.5, DataError, r"^seed must be a non-negative integer, got 1.5$"),
+        (10, 2.0, DataError, r"^seed must be a non-negative integer, got 2.0$"),
+        (10, True, DataError, r"^seed must be a non-negative integer, got True$"),
+        (2.5, 1, ValueError, r"^the number of replicates must be an integer, got 2.5$"),
+        (10.0, 1, ValueError, r"^the number of replicates must be an integer, got 10.0$"),
+    ])
+    def test_non_integer_seed_or_mc_size_named_before_any_replicate(
+            self, mc_reps, seed, error, message, caplog, monkeypatch):
+        def fail(*args, **kwargs):
+            raise AssertionError("data generated before the settings were checked")
+
+        monkeypatch.setattr(simulate, "generate", fail)
+        with caplog.at_level(logging.ERROR, logger=simulate.logger.name):
+            with pytest.raises(error, match=message):
+                power_experiment([design("ex1", 40, 0.0)], 2, mc_reps, 0.05, seed, workers=1)
+        assert not [r for r in caplog.records if "replicate failed" in r.getMessage()]
+
     @pytest.mark.parametrize("workers", [0, -3])
     def test_workers_below_one_rejected(self, workers, monkeypatch):
         def fail(*args, **kwargs):
@@ -265,6 +283,11 @@ class TestTables:
         path = emit_table(table, tmp_path / "t.csv", format="csv")
         parsed = parse_table(path.read_text())
         assert parsed.rows == table.rows
+
+    def test_text_header_is_power_row_fields(self):
+        lines = render_text(self._table(2)).splitlines()
+        assert lines[0].split() == [f.name for f in dataclasses.fields(PowerRow)]
+        assert lines[2].split() == ["ex1", "60", "0.1", "100", "200", "0.05", "0.1000", "7"]
 
     def test_text_rendering_aligned(self):
         text = render_text(self._table(3))
