@@ -10,9 +10,13 @@ the decision invariant to any common positive rescaling.  The statistic,
 the score mean and each resampled statistic are one operation, the slot
 sums of a :class:`DominanceKernel`, and the statistic and the replicates
 are read from them alike, ``(y * y) @ weights / n^2``; no n x n array is
-formed above n = 1024.  From ``THREAD_CROSSOVER`` observations, a W-free
-multiplier pass runs one span of whole replicate blocks per core, up to
-``MAX_THREADS``, concurrently, and gives one span's replicates bit for bit.
+formed above n = 1024.  Over one column of points the slot sums are prefix
+sums in sorted order, taken for a block of rows as one product per row of
+chunks of ``SCAN_CHUNK`` slots with a triangular matrix of ones, in place
+of ``np.cumsum``'s serial chain of adds.  From ``THREAD_CROSSOVER``
+observations, a W-free multiplier pass runs one span of whole replicate
+blocks per core, up to ``MAX_THREADS``, concurrently, and gives one span's
+replicates bit for bit.
 """
 
 from __future__ import annotations
@@ -56,6 +60,14 @@ CACHE_ELEMENTS = 1 << 16
 #: break-even between n = 1500 and 3000, and both gained 20-30% from
 #: n = 4000 up.
 THREAD_CROSSOVER = 4096
+
+
+#: Slots per chunk of the sorted kernel's prefix sums.  A chunk's prefix
+#: sums are one product with an upper-triangular matrix of ones, which runs
+#: at a few flops per slot where ``np.cumsum`` is one serial chain of adds.
+#: A sweep of 8, 16 and 32 on multiplier blocks from (8, 8000) to
+#: (300, 100) (2 cores, one BLAS thread) was fastest at 16, or within noise.
+SCAN_CHUNK = 16
 
 
 #: Threads of one sorted-kernel multiplier pass at most.  Each span holds
@@ -117,14 +129,23 @@ class DominanceKernel:
 
 class SortedKernel(DominanceKernel):
     """One column of points: slot t is sorted position t, and point j's sum
-    is the cumulative sum read at the last position of its tie run.  Slots
-    inside a run hold partial sums and have weight 0."""
+    is the prefix sum of the sorted values read at the last position of
+    its tie run.  Slots inside a run hold partial sums and have weight 0.
+
+    The prefix sums of rows of at least ``SCAN_CHUNK`` values are taken
+    in chunks of that many slots.  The running sum of the chunk totals up
+    to each chunk is added to the first value of the next chunk, and then
+    each chunk is multiplied by ``upper``, the upper-triangular matrix of
+    ones, so that one product per row gives every prefix sum.  The slots
+    after the last whole chunk, 1-D values and shorter rows take
+    ``np.cumsum``."""
 
     def __init__(self, points: np.ndarray):
         col, self.points, self.n = points[:, 0], points, points.shape[0]
         self.order = np.argsort(col, kind="stable")
         self.slot_of = np.searchsorted(col[self.order], col, side="right") - 1
         self.weights = np.bincount(self.slot_of, minlength=self.n).astype(float)
+        self.upper = np.triu(np.ones((SCAN_CHUNK, SCAN_CHUNK)))
 
     @property
     def rows(self) -> int:
@@ -138,9 +159,26 @@ class SortedKernel(DominanceKernel):
         return min(cores(), MAX_THREADS)
 
     def slot_sums(self, values: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-        # "clip" on indices that are all valid: the default "raise" buffers ``out``
-        out = np.take(values, self.order, axis=-1, out=out, mode="clip")
-        return np.cumsum(out, axis=-1, out=out)
+        size = self.upper.shape[0]
+        whole = self.n - self.n % size
+        if np.ndim(values) < 2 or whole == 0:
+            # "clip" on indices that are all valid: the default "raise" buffers ``out``
+            out = np.take(values, self.order, axis=-1, out=out, mode="clip")
+            return np.cumsum(out, axis=-1, out=out)
+        if out is None:
+            out = np.empty(np.shape(values))
+        # the sorted copy is the product's input: a product written over its
+        # own input would make numpy copy it again
+        t = np.take(values, self.order, axis=-1, mode="clip")
+        chunks = t[..., :whole].reshape(t.shape[:-1] + (-1, size))
+        carry = np.matmul(chunks, self.upper[0])  # the chunk totals
+        np.cumsum(carry, axis=-1, out=carry)
+        chunks[..., 1:, 0] += carry[..., :-1]
+        np.matmul(chunks, self.upper, out=out[..., :whole].reshape(chunks.shape))
+        if whole < self.n:
+            t[..., whole] += carry[..., -1]
+            np.cumsum(t[..., whole:], axis=-1, out=out[..., whole:])
+        return out
 
 
 class BlockKernel(DominanceKernel):
@@ -373,7 +411,8 @@ def mc_pvalue(t_n: float, a: InfluenceOperator, m: int, seed: int) -> tuple[floa
     comes from the substream ``SeedSequence(seed, spawn_key=(j,))``, the
     child j of ``SeedSequence(seed).spawn``, so the first k replicates are
     the same for any ``m >= k``.  Replicate j is the sum of squares of
-    ``u_j @ a`` over n^2.
+    ``u_j @ a`` over n^2.  ``m`` and ``seed`` are checked as
+    :func:`check_settings` checks them.
 
     The multipliers are drawn into one reused block buffer, of the rows the
     operator's kernel sets: about 2^16 entries over the sorted kernel and
@@ -393,8 +432,7 @@ def mc_pvalue(t_n: float, a: InfluenceOperator, m: int, seed: int) -> tuple[floa
     depend on the thread count.  Returns the p-value and the replicate
     statistics themselves.
     """
-    if m < 1:
-        raise ValueError(f"need at least one replicate, got {m}")
+    _check_draws(m, seed)
     n, rows = a.shape[0], a.kernel.rows
     replicates = np.empty(m)
     blocks = (m + rows - 1) // rows  # no negation: m may be an unsigned numpy integer
@@ -423,21 +461,29 @@ def mc_pvalue(t_n: float, a: InfluenceOperator, m: int, seed: int) -> tuple[floa
     return pvalue_from_replicates(t_n, replicates), replicates
 
 
-def check_settings(m: int, alpha: float, seed: int) -> None:
-    """Reject a Monte Carlo size, level or seed the test cannot use, before
-    any work is done.  ``m`` and ``seed`` must be integers, Python's or
-    numpy's; a float or a bool is refused even when it is integral."""
-    def integer(k) -> bool:
-        return isinstance(k, numbers.Integral) and not isinstance(k, bool)
+def _integer(k) -> bool:
+    """Whether ``k`` is an integer, Python's or numpy's; a float or a bool
+    is not, even when it is integral."""
+    return isinstance(k, numbers.Integral) and not isinstance(k, bool)
 
-    if not integer(seed) or seed < 0:
+
+def _check_draws(m: int, seed: int) -> None:
+    if not _integer(seed) or seed < 0:
         raise DataError(f"seed must be a non-negative integer, got {seed}")
-    if not 0.0 < alpha < 1.0:
-        raise ValueError(f"alpha must be in (0, 1), got {alpha}")
-    if not integer(m):
+    if not _integer(m):
         raise ValueError(f"the number of replicates must be an integer, got {m}")
     if m < 1:
         raise ValueError(f"need at least one replicate, got {m}")
+
+
+def check_settings(m: int, alpha: float, seed: int) -> None:
+    """Reject a Monte Carlo size, level or seed the test cannot use, before
+    any work is done.  ``m`` must be a positive integer and ``seed`` a
+    non-negative one, Python's or numpy's; a float or a bool is refused
+    even when it is integral."""
+    if not 0.0 < alpha < 1.0:
+        raise ValueError(f"alpha must be in (0, 1), got {alpha}")
+    _check_draws(m, seed)
 
 
 def run_test(

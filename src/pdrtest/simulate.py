@@ -24,7 +24,7 @@ import numpy as np
 
 from .dataset import Dataset, Schema
 from .errors import DataError
-from .lackfit import check_settings, run_test
+from .lackfit import _integer, check_settings, run_test
 
 logger = logging.getLogger(__name__)
 
@@ -169,12 +169,17 @@ def power_experiment(
 
     Deterministic given ``seed`` regardless of ``workers`` (default 1);
     failed replicates are logged and re-raised, non-converged fits only
-    counted and logged.  A bad level, Monte Carlo size, seed or worker
-    count is named before any replicate runs.
+    counted and logged.  A bad level, Monte Carlo size, seed, replicate or
+    worker count is named before any replicate runs; the counts, the size
+    and the seed must be integers, as :func:`check_settings` requires.
     """
+    if not _integer(reps):
+        raise ValueError(f"reps must be an integer, got {reps}")
     if reps < 1:
         raise ValueError(f"reps must be at least 1, got {reps}")
     check_settings(mc_reps, alpha, seed)
+    if workers is not None and not _integer(workers):
+        raise DataError(f"workers must be an integer, got {workers}")
     if workers is not None and workers < 1:
         raise DataError(f"workers must be at least 1, got {workers}")
     n_workers = 1 if workers is None else int(workers)

@@ -182,10 +182,21 @@ def dominance_sums(values, points):
     return point_sums(lackfit.dominance_kernel(points.reshape(points.shape[0], -1)), values)
 
 
+CHUNK = lackfit.SCAN_CHUNK
+
+
 class TestDominanceSums:
-    @given(n=st.integers(1, 40), k=st.integers(1, 3),
+    @given(n=st.integers(1, 6 * CHUNK + 1), k=st.integers(1, 3),
            kind=st.sampled_from(["random", "tied", "duplicated"]),
            width=st.integers(1, 45), seed=st.integers(0, 2**32 - 1))
+    # the sorted kernel's chunks: whole chunks only, a tail of one slot, a
+    # tail one short of a chunk, and rows of about one chunk
+    @example(n=4 * CHUNK, k=1, kind="random", width=45, seed=1)
+    @example(n=4 * CHUNK + 1, k=1, kind="tied", width=45, seed=2)
+    @example(n=4 * CHUNK - 1, k=1, kind="duplicated", width=45, seed=3)
+    @example(n=CHUNK, k=1, kind="duplicated", width=45, seed=4)
+    @example(n=CHUNK + 1, k=1, kind="random", width=45, seed=5)
+    @example(n=CHUNK - 1, k=1, kind="tied", width=45, seed=6)
     @settings(max_examples=300, deadline=None)
     def test_matches_dense_oracle(self, n, k, kind, width, seed):
         rng = np.random.default_rng(seed)
@@ -218,6 +229,17 @@ class TestDominanceSums:
         assert kernel.slot_sums(values, out) is out
         np.testing.assert_array_equal(out, kernel.slot_sums(values))
         assert_rel(point_sums(kernel, values), values @ indicator_matrix(kernel.points))
+
+    @pytest.mark.parametrize("shape", [(8000,), (4, CHUNK - 1), (3, CHUNK), (1, 8000), (8, 8000),
+                                       (300, 100), (2, 3, 5 * CHUNK + 7)])
+    def test_sorted_scan_matches_cumsum(self, shape):
+        # chunked prefix sums on 2-D rows of a chunk or more, np.cumsum otherwise
+        rng = np.random.default_rng(61)
+        kernel = lackfit.SortedKernel(rng.standard_normal((shape[-1], 1)))
+        values = rng.standard_normal(shape)
+        want = np.cumsum(values[..., kernel.order], axis=-1)
+        assert_rel(kernel.slot_sums(values), want, rel=1e-12)
+        assert_rel(kernel.slot_sums(values, np.empty(shape)), want, rel=1e-12)
 
     def test_ties_read_at_end_of_run(self):
         sums = dominance_sums(np.array([1.0, 10.0, 100.0, 1000.0]), np.array([2.0, 1.0, 2.0, 3.0]))
@@ -514,6 +536,18 @@ class TestMcPvalue:
         p, reps = mc_pvalue(0.0, a, m=50, seed=1)
         assert p == 1.0
         assert reps.shape == (50,)
+
+    @pytest.mark.parametrize("m, seed, error, message", [
+        (2.5, 1, ValueError, r"^the number of replicates must be an integer, got 2.5$"),
+        (True, 1, ValueError, r"^the number of replicates must be an integer, got True$"),
+        (0, 1, ValueError, r"^need at least one replicate, got 0$"),
+        (10, 1.5, DataError, r"^seed must be a non-negative integer, got 1.5$"),
+        (10, -1, DataError, r"^seed must be a non-negative integer, got -1$"),
+    ])
+    def test_settings_named(self, m, seed, error, message):
+        a, _ = random_operator(np.random.default_rng(12), 40, 1, "random")
+        with pytest.raises(error, match=message):
+            mc_pvalue(0.5, a, m, seed)
 
     def test_counting_rule(self):
         assert pvalue_from_replicates(2.5, np.array([1.0, 2.0, 3.0])) == pytest.approx(1 / 3)

@@ -207,6 +207,22 @@ class TestPowerExperiment:
                 power_experiment([design("ex1", 40, 0.0)], 2, mc_reps, 0.05, seed, workers=1)
         assert not [r for r in caplog.records if "replicate failed" in r.getMessage()]
 
+    @pytest.mark.parametrize("reps, workers, error, message", [
+        (2.5, 1, ValueError, r"^reps must be an integer, got 2.5$"),
+        (2.0, 1, ValueError, r"^reps must be an integer, got 2.0$"),
+        (True, 1, ValueError, r"^reps must be an integer, got True$"),
+        (2, 2.5, DataError, r"^workers must be an integer, got 2.5$"),
+        (2, True, DataError, r"^workers must be an integer, got True$"),
+    ])
+    def test_non_integer_reps_or_workers_named_before_any_replicate(
+            self, reps, workers, error, message, monkeypatch):
+        def fail(*args, **kwargs):
+            raise AssertionError("data generated before the counts were checked")
+
+        monkeypatch.setattr(simulate, "generate", fail)
+        with pytest.raises(error, match=message):
+            power_experiment([design("ex1", 40, 0.0)], reps, 10, 0.05, 1, workers=workers)
+
     @pytest.mark.parametrize("workers", [0, -3])
     def test_workers_below_one_rejected(self, workers, monkeypatch):
         def fail(*args, **kwargs):
