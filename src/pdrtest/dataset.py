@@ -184,13 +184,13 @@ def load_csv(path: str | Path, schema: Schema) -> Dataset:
 
 def standardize(x: np.ndarray) -> tuple[np.ndarray, Standardization]:
     """Whiten columns of ``x``: subtract means, multiply by the symmetric
-    inverse square root of the sample covariance.
+    inverse square root of the sample covariance.  A 1-D ``x`` is one column.
 
     Raises:
         SingularityError: the sample covariance has an eigenvalue below
             ``EIGENVALUE_FLOOR`` times its largest one.
     """
-    x = np.atleast_2d(np.asarray(x, dtype=float))
+    x = as_columns("x", x)
     center = x.mean(axis=0)
     cov = np.atleast_2d(np.cov(x, rowvar=False, ddof=1))
     vals, vecs = np.linalg.eigh(cov)
@@ -208,7 +208,7 @@ def standardize(x: np.ndarray) -> tuple[np.ndarray, Standardization]:
         float(np.max(np.abs(z.mean(axis=0)))),
         float(np.max(np.abs(zcov - np.eye(x.shape[1])))),
     )
-    if err > 1e-8:
+    if not err <= 1e-8:  # NaN fails too
         raise SingularityError(
             f"whitening failed numerically: residual deviation {err:.3e} exceeds 1e-8"
         )

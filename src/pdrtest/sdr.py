@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dataset import Dataset, standardize
+from .dataset import Dataset, as_columns, standardize
 from .errors import DataError
 
 #: Target occupancy per response slice inside a W-cell.
@@ -109,9 +109,10 @@ def dee_matrix(z: np.ndarray, y: np.ndarray) -> CandidateMatrix:
     For each threshold ``t = y_i`` the sample splits into ``{y <= t}`` and
     ``{y > t}``; thresholds leaving one side empty contribute zero.  For
     centered ``z`` the per-threshold candidate collapses to a rank-one
-    term, so the average is a single cumulative-sum product.
+    term, so the average is a single cumulative-sum product.  A 1-D ``z``
+    is one column.
     """
-    z = np.atleast_2d(np.asarray(z, dtype=float))
+    z = as_columns("z", z)
     y = np.asarray(y, dtype=float).reshape(-1)
     n = z.shape[0]
     if n < 3:
@@ -137,26 +138,10 @@ def dee_matrix(z: np.ndarray, y: np.ndarray) -> CandidateMatrix:
 
 def _slice_counts(sizes: np.ndarray) -> np.ndarray:
     """Response slices per cell of each size (cells below ``MIN_CELL`` are
-    skipped by the callers)."""
+    skipped by ``_cells_total``)."""
     sizes = np.asarray(sizes)
     wide = np.minimum(MAX_SLICES, sizes // SLICE_OCCUPANCY)
     return np.where(sizes >= 2 * SLICE_OCCUPANCY, wide, 2)
-
-
-def _cell_slice_matrix(z_cell: np.ndarray) -> np.ndarray | None:
-    """Within-cell slice-mean covariance, rows already ordered by response.
-
-    Returns None when the cell is too small to slice.
-    """
-    s = z_cell.shape[0]
-    if s < MIN_CELL:
-        return None
-    h = int(_slice_counts(s))
-    bounds = (np.arange(h) * s) // h
-    counts = np.diff(np.r_[bounds, s])
-    means = np.add.reduceat(z_cell, bounds, axis=0) / counts[:, None]
-    centered = means - z_cell.mean(axis=0)
-    return (centered * (counts / s)[:, None]).T @ centered
 
 
 def order_statistic_sums(
@@ -206,55 +191,64 @@ def order_statistic_sums(
     return out + prefix.take(lo + count, axis=0) - prefix.take(lo, axis=0)
 
 
-def _one_column_total(z: np.ndarray, y: np.ndarray, w: np.ndarray) -> np.ndarray:
-    """Unnormalized candidate sum over all thresholds of a single W column.
+def _cells_total(
+    z_rows: np.ndarray,
+    cell_lo: np.ndarray,
+    cell_size: np.ndarray,
+    cell_t: np.ndarray,
+    t_count: np.ndarray,
+    ranks: np.ndarray | None = None,
+) -> np.ndarray | None:
+    """Unnormalized partial-slicing candidate of cells that are row ranges.
 
-    Rows are sorted by W, so each threshold's lower cell is a prefix
-    ``[0, k)`` and its upper cell the rest.  Slice boundaries inside a cell
-    are order statistics of the response ranks, answered for every cell at
-    once by ``order_statistic_sums``.
+    Cell ``c`` is rows ``[cell_lo[c], cell_lo[c] + cell_size[c])`` of
+    ``z_rows``, cut by threshold ``cell_t[c]``, which ``t_count`` observations
+    take.  Cells below ``MIN_CELL`` rows are skipped; the rest are cut into
+    ``_slice_counts`` response slices at ``(j * s) // h``, whose cell-centred
+    means enter weighted by ``rows * t_count / used`` (``used``: the rows of
+    the threshold's usable cells).  A slice sum covers the rows of smallest
+    response rank in its cell: ``order_statistic_sums`` over ``ranks`` finds
+    them, or, when ``ranks`` is None, each cell is already in response order.
+    Returns None when no cell is usable.
     """
-    n, p1 = z.shape
-    y_rank = np.empty(n, dtype=np.int64)
-    y_rank[np.argsort(y, kind="stable")] = np.arange(n)
-    w_order = np.argsort(w, kind="stable")
-    w_sorted = w[w_order]
-    z_w = z[w_order]
-    ranks = y_rank[w_order]
-    prefix = np.zeros((n + 1, p1))
-    np.cumsum(z_w, axis=0, out=prefix[1:])
-
-    # threshold j: lower cell [0, k_j), upper cell [k_j, n)
-    k = np.flatnonzero(np.r_[w_sorted[1:] != w_sorted[:-1], True]) + 1
-    t_count = np.diff(np.r_[0, k])
-    cell_lo = np.r_[np.zeros_like(k), k]
-    cell_size = np.r_[k, n - k]
-    cell_t = np.tile(np.arange(k.size), 2)
+    n, p1 = z_rows.shape
     keep = cell_size >= MIN_CELL
     if not keep.any():
-        raise DataError("W discretization produced no usable cells")
+        return None
     cell_lo, cell_size, cell_t = cell_lo[keep], cell_size[keep], cell_t[keep]
-    used = np.bincount(cell_t, weights=cell_size, minlength=k.size)
-    cell_sum = prefix[cell_lo + cell_size] - prefix[cell_lo]
+    used = np.bincount(cell_t, weights=cell_size, minlength=t_count.size)
 
     # one row per slice: its cell, its index j inside the cell, its bounds
     h = _slice_counts(cell_size)
     cell = np.repeat(np.arange(cell_size.size), h)
-    first = np.r_[0, np.cumsum(h)[:-1]]
+    first = np.cumsum(h) - h
     j = np.arange(cell.size) - first[cell]
     s, hc = cell_size[cell], h[cell]
     lower = (j * s) // hc
     upper = ((j + 1) * s) // hc
 
-    # response-ordered prefix sums at each slice's upper bound; the last
-    # slice of a cell ends at the cell sum, the first starts at zero
-    last = j == hc - 1
-    below_upper = cell_sum.take(cell, axis=0)
-    inner = ~last
+    # z summed over each cell, and up to each inner slice's upper bound
+    inner = j < hc - 1
     lo_q = cell_lo[cell[inner]]
-    below_upper[inner] = order_statistic_sums(
-        ranks, z_w, lo_q, lo_q + s[inner], upper[inner]
-    )
+    if ranks is None:
+        # sums between consecutive bounds, accumulated: a full cumulative
+        # sum for every threshold would double the cost of this path
+        k = cell_lo.size
+        bounds = np.concatenate([cell_lo, cell_lo + cell_size, lo_q + upper[inner], [0, n]])
+        marks, where = np.unique(bounds, return_inverse=True)
+        prefix = np.zeros((marks.size, p1))
+        np.cumsum(np.add.reduceat(z_rows, marks[:-1], axis=0), axis=0, out=prefix[1:])
+        at = prefix.take(where, axis=0)
+        cell_sum = at[k : 2 * k] - at[:k]
+        inner_sum = at[2 * k : -2] - at.take(cell[inner], axis=0)
+    else:
+        prefix = np.zeros((n + 1, p1))
+        np.cumsum(z_rows, axis=0, out=prefix[1:])
+        cell_sum = prefix[cell_lo + cell_size] - prefix[cell_lo]
+        inner_sum = order_statistic_sums(ranks, z_rows, lo_q, lo_q + s[inner], upper[inner])
+    # the last slice of a cell ends at the cell sum, the first starts at zero
+    below_upper = cell_sum.take(cell, axis=0)
+    below_upper[inner] = inner_sum
     below_lower = np.zeros_like(below_upper)
     below_lower[1:] = below_upper[:-1]
     below_lower[j == 0] = 0.0
@@ -267,65 +261,70 @@ def _one_column_total(z: np.ndarray, y: np.ndarray, w: np.ndarray) -> np.ndarray
     return (centered * weight[:, None]).T @ centered
 
 
+def _one_column_total(z: np.ndarray, y: np.ndarray, w: np.ndarray) -> np.ndarray | None:
+    """Every threshold of one W column in one ``_cells_total`` call: with the
+    rows sorted by W, threshold ``j`` cuts the prefix ``[0, k_j)`` and the rest."""
+    n = z.shape[0]
+    y_rank = np.empty(n, dtype=np.int64)
+    y_rank[np.argsort(y, kind="stable")] = np.arange(n)
+    w_order = np.argsort(w[:, 0], kind="stable")
+    w_sorted = w[w_order, 0]
+    k = np.flatnonzero(np.r_[w_sorted[1:] != w_sorted[:-1], True]) + 1
+    cells = np.r_[np.zeros_like(k), k], np.r_[k, n - k], np.tile(np.arange(k.size), 2)
+    return _cells_total(z[w_order], *cells, np.diff(np.r_[0, k]), y_rank[w_order])
+
+
+def _many_column_total(z: np.ndarray, y: np.ndarray, w: np.ndarray) -> np.ndarray | None:
+    """One ``_cells_total`` call per threshold of two or more W columns: the
+    rows, in response order, are stably sorted by the threshold's cell id."""
+    n, p2 = w.shape
+    y_order = np.argsort(y, kind="stable")
+    z_y, w_cols = z[y_order], np.ascontiguousarray(w[y_order].T)
+    id_type = np.min_scalar_type((1 << p2) - 1)  # ids of up to 16 bits sort by radix
+    parts = []
+    for t, t_count in zip(*np.unique(w, axis=0, return_counts=True)):
+        cell_ids = np.zeros(n, dtype=id_type)
+        for a in range(p2):
+            cell_ids |= (w_cols[a] <= t[a]).astype(id_type) << a
+        by_cell = np.argsort(cell_ids, kind="stable")
+        ids = cell_ids[by_cell]
+        lo = np.concatenate(([0], np.flatnonzero(ids[1:] != ids[:-1]) + 1))
+        part = _cells_total(z_y.take(by_cell, axis=0), lo, np.diff(lo, append=n),
+                            np.zeros_like(lo), t_count[None])
+        if part is not None:
+            parts.append(part)
+    return sum(parts) if parts else None
+
+
 def pdee_matrix(z: np.ndarray, y: np.ndarray, w: np.ndarray) -> CandidateMatrix:
     """Average partial-slicing candidates over all thresholds of W.
 
-    Each observed ``w_i`` defines a binary discretization of the W columns;
-    rows fall into up to ``2^p2`` cells.  Within every sufficiently large
-    cell the response is sliced into equal-frequency groups and the
-    cell-centered slice-mean covariance is formed; cells combine weighted
-    by size, renormalized over the usable ones.  Tied responses are split
-    in input order (a stable sort), so with ties the result depends on the
-    row order.
+    Each observed ``w_i`` cuts the rows into up to ``2^p2`` cells by the
+    componentwise pattern of ``w <= w_i``.  Within every cell of at least
+    ``MIN_CELL`` rows the response is sliced into equal-frequency groups and
+    the cell-centred slice-mean covariance is formed; cells combine weighted
+    by size, renormalized over the usable ones.  Tied responses are split in
+    input order (a stable sort), so with ties the result depends on the row
+    order.  A 1-D ``z`` or ``w`` is one column.
 
-    With one W column the thresholds are handled all at once in
-    ``O(n log n)``: after sorting by W every cell is a prefix or a suffix,
-    and each slice sum is a sum of ``z`` over the rows of smallest response
-    rank in a range, read from one wavelet matrix (``order_statistic_sums``).  With two or
-    more columns each threshold is sliced on its own, ``O(n^2 log n)``.
+    One rule, ``_cells_total``, slices every cell; the paths only lay the
+    rows out so that each cell is a range.  One W column takes all
+    thresholds at once in ``O(n log n)``, sorted by W, with slice sums read
+    from one wavelet matrix over the response ranks
+    (``order_statistic_sums``).  Two or more columns take one threshold at a
+    time, each in ``O(n)`` for up to 16 columns, whose cell ids sort by radix.
     """
-    z = np.atleast_2d(np.asarray(z, dtype=float))
+    z = as_columns("z", z)
     y = np.asarray(y, dtype=float).reshape(-1)
-    w = np.asarray(w, dtype=float)
-    if w.ndim == 1:
-        w = w.reshape(-1, 1)
-    n, p1 = z.shape
-    p2 = w.shape[1]
+    w = as_columns("w", w)
+    n, p2 = z.shape[0], w.shape[1]
     if p2 < 1:
         raise DataError("pdee_matrix needs at least one W column")
     if y.shape[0] != n or w.shape[0] != n:
         raise DataError(f"row mismatch: z has {n}, y has {y.shape[0]}, w has {w.shape[0]}")
     _require_variation(y)
-    if p2 == 1:
-        return _decompose(_one_column_total(z, y, w[:, 0]) / n)
-
-    yorder = np.argsort(y, kind="stable")
-    z_y = z[yorder]
-    w_y = w[yorder]
-    thresholds, t_counts = np.unique(w, axis=0, return_counts=True)
-    powers = 1 << np.arange(p2)
-
-    total = np.zeros((p1, p1))
-    any_usable = False
-    for t, t_count in zip(thresholds, t_counts):
-        cell_ids = (w_y <= t) @ powers
-        by_cell = np.argsort(cell_ids, kind="stable")  # y-order kept within cell
-        sorted_ids = cell_ids[by_cell]
-        starts = np.r_[0, np.flatnonzero(sorted_ids[1:] != sorted_ids[:-1]) + 1]
-        sizes = np.diff(np.r_[starts, n])
-
-        m_t = np.zeros((p1, p1))
-        used = 0
-        for start, size in zip(starts, sizes):
-            m_cell = _cell_slice_matrix(z_y[by_cell[start : start + size]])
-            if m_cell is None:
-                continue
-            m_t += size * m_cell
-            used += size
-        if used > 0:
-            any_usable = True
-            total += (t_count / used) * m_t
-    if not any_usable:
+    total = (_one_column_total if p2 == 1 else _many_column_total)(z, y, w)
+    if total is None:
         raise DataError("W discretization produced no usable cells")
     return _decompose(total / n)
 

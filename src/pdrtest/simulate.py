@@ -55,6 +55,8 @@ class SimDesign:
                 raise ValueError(f"{name} must have unit norm")
         if self.n < 3:
             raise ValueError(f"n must be at least 3, got {self.n}")
+        if not np.isfinite(self.a):
+            raise ValueError(f"departure a must be finite, got {self.a}")
 
 
 _CASE_TABLE = {
@@ -351,10 +353,10 @@ def read_experiment_spec(path: str | Path) -> ExperimentSpec:
         )
     except ValueError as exc:
         raise DataError(f"{path}: {exc}") from None
-    if spec.case not in CASES:
-        raise DataError(f"{path}: unknown case id {spec.case!r}; known: {', '.join(CASES)}")
-    if min(spec.n) < 3:
-        raise DataError(f"{path}: n must be at least 3, got {min(spec.n)}")
+    try:
+        spec.designs()  # design() checks the case, each SimDesign its n and a
+    except ValueError as exc:
+        raise DataError(f"{path}: {exc}") from None
     for key, values in (("n", spec.n), ("a", spec.a)):
         repeated = sorted({v for v in values if values.count(v) > 1})
         if repeated:

@@ -196,6 +196,26 @@ class TestCmdDim:
                      "--format", "json"]) == EXIT_OK
         assert json.loads(capsys.readouterr().out)["q_hat"] == 1
 
+    def test_two_w_columns(self, tmp_path, capsys):
+        rng = np.random.default_rng(33)
+        x, w = rng.standard_normal((120, 3)), rng.standard_normal((120, 2))
+        y = x[:, 0] + w[:, 0] * w[:, 1] + 0.3 * rng.standard_normal(120)
+        path = tmp_path / "two_w.csv"
+        with open(path, "w", newline="") as fh:
+            writer = csv.writer(fh)
+            writer.writerow(["y", "x1", "x2", "x3", "w1", "w2"])
+            for row in np.column_stack([y, x, w]):
+                writer.writerow([repr(float(v)) for v in row])
+        columns = ["--data", str(path), "--y", "y", "--x", "x1,x2,x3", "--w", "w1,w2"]
+        assert main(["dim", *columns, "--format", "json"]) == EXIT_OK
+        record = json.loads(capsys.readouterr().out)
+        record.pop("config")
+        schema = pdrtest.Schema(y="y", x=("x1", "x2", "x3"), w=("w1", "w2"))
+        assert record == pdrtest.estimate_basis(pdrtest.load_csv(path, schema)).to_record()
+        assert main(["test", *columns, "--family", "linear+w",
+                     "--mc-reps", "20", "--seed", "1"]) == EXIT_DATA
+        assert "family 'linear+w' needs exactly one W column, got 2" in capsys.readouterr().err
+
 
 class TestCmdSimulate:
     def _spec(self, tmp_path, **overrides):
@@ -229,6 +249,7 @@ class TestCmdSimulate:
         ({"n": "40, 2"}, "n must be at least 3, got 2"),
         ({"n": "40, 60, 40"}, "repeated n value(s): 40"),
         ({"a": "0, 0.8, 0.80"}, "repeated a value(s): 0.8"),
+        ({"a": "0, nan"}, "departure a must be finite, got nan"),
     ])
     def test_bad_grid_is_data_error_naming_spec(self, overrides, message, tmp_path, capsys):
         spec = self._spec(tmp_path, **overrides)

@@ -165,6 +165,20 @@ class TestStandardize:
             b = std.whitener @ eta
             assert abs(b @ cov @ b - eta @ eta) <= 1e-8 * max(1.0, eta @ eta)
 
+    def test_one_dimensional_x_is_one_column(self):
+        x = np.random.default_rng(4).standard_normal(50)
+        z, std = standardize(x)
+        z_col, std_col = standardize(x[:, None])
+        assert z.shape == (50, 1)
+        np.testing.assert_array_equal(z, z_col)
+        np.testing.assert_array_equal(std.whitener, std_col.whitener)
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_nan_deviation_fails_the_whitening_check(self):
+        # one row has no sample covariance: the NaN it whitens to is refused
+        with pytest.raises(SingularityError, match="residual deviation nan"):
+            standardize(np.array([[1.0, 2.0]]))
+
 
 class TestPrepareBoston:
     def test_dimensions(self, boston):

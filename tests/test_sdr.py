@@ -73,11 +73,12 @@ def rounding_floor(z):
     return 4 * np.finfo(float).eps * np.max(np.abs(z)) ** 2
 
 
-def assert_one_column_path_matches_loop(z, y, w):
-    """The one-column path of ``pdee_matrix`` against its per-threshold loop.
+def assert_one_column_path_matches_two_column_path(z, y, w):
+    """The one-column path of ``pdee_matrix`` against its two-column path.
 
     A constant second W column cuts the same cells, and with two columns
-    ``pdee_matrix`` slices each threshold on its own.
+    ``pdee_matrix`` slices each threshold on its own, reading slice sums
+    from prefix sums rather than from the wavelet matrix.
     """
     w = np.asarray(w, dtype=float).reshape(-1)
     try:
@@ -107,18 +108,22 @@ def one_column_inputs(n, p1, y_digits, w_kind, seed):
     return z, y, w
 
 
-def exact_one_column_candidate(z, y, w):
-    """``pdee_matrix(z, y, w[:, None]).m`` in exact rational arithmetic,
-    straight from the definition: each W threshold cuts two cells, each usable
-    cell is sliced on the response (ties in input order), and the slice means
-    are centred on the cell mean."""
+def exact_candidate(z, y, w):
+    """``pdee_matrix(z, y, w).m`` in exact rational arithmetic, straight from
+    the definition: each W threshold ``t`` cuts the rows into cells by the
+    componentwise pattern of ``w <= t``, each usable cell is sliced on the
+    response (ties in input order), and the slice means are centred on the
+    cell mean."""
+    w = np.asarray(w, dtype=float).reshape(len(y), -1)
     n, p = z.shape
     zq = [[Fraction(float(v)) for v in row] for row in z]
     y_order = np.argsort(y, kind="stable")
     total = [[Fraction(0)] * p for _ in range(p)]
-    for t, t_count in zip(*np.unique(w, return_counts=True)):
-        cells = [[i for i in y_order if w[i] <= t], [i for i in y_order if w[i] > t]]
-        cells = [cell for cell in cells if len(cell) >= MIN_CELL]
+    for t, t_count in zip(*np.unique(w, axis=0, return_counts=True)):
+        by_pattern = {}
+        for i in y_order:
+            by_pattern.setdefault(tuple(w[i] <= t), []).append(i)
+        cells = [cell for cell in by_pattern.values() if len(cell) >= MIN_CELL]
         used = sum(len(cell) for cell in cells)
         for cell in cells:
             s = len(cell)
@@ -243,6 +248,13 @@ class TestDeeMatrix:
         for col in cand.eigenvectors.T:
             assert col[np.argmax(np.abs(col))] > 0
 
+    def test_one_dimensional_z_is_one_column(self):
+        rng = np.random.default_rng(17)
+        z = rng.standard_normal(50)
+        z -= z.mean()
+        y = z + 0.5 * rng.standard_normal(50)
+        np.testing.assert_array_equal(dee_matrix(z, y).m, dee_matrix(z[:, None], y).m)
+
 
 class TestPdeeMatrix:
     def test_constant_w_reduces_to_full_sample_slicing(self):
@@ -290,6 +302,43 @@ class TestPdeeMatrix:
         assert cand.eigenvalues.min() >= 0.0
         assert np.trace(cand.m) <= 3 + 1e-6
 
+    def test_one_dimensional_z_and_w_are_one_column(self):
+        rng = np.random.default_rng(18)
+        z, w = rng.standard_normal(50), rng.standard_normal(50)
+        y = z + w + 0.5 * rng.standard_normal(50)
+        np.testing.assert_array_equal(
+            pdee_matrix(z, y, w).m, pdee_matrix(z[:, None], y, w[:, None]).m
+        )
+
+    @pytest.mark.parametrize(
+        "p2, w_digits, seed", [(2, 0, 30), (2, 1, 31), (3, 0, 32), (3, 1, 33)]
+    )
+    def test_many_column_path_matches_exact_value(self, p2, w_digits, seed):
+        # rounded W repeats thresholds and ties cells; rounded y ties responses
+        rng = np.random.default_rng(seed)
+        z = rng.standard_normal((36, 3))
+        y = np.round(rng.standard_normal(36), 1)
+        w = np.round(rng.standard_normal((36, p2)), w_digits)
+        assert_exact(pdee_matrix(z, y, w).m, exact_candidate(z, y, w), z)
+
+    @pytest.mark.parametrize(
+        "sizes",
+        [
+            (MIN_CELL - 1, MIN_CELL, 2 * SLICE_OCCUPANCY - 1, 2 * SLICE_OCCUPANCY),
+            (MIN_CELL - 1, MIN_CELL, 2 * SLICE_OCCUPANCY - 1, 2 * SLICE_OCCUPANCY,
+             1, MIN_CELL, 2, 2 * SLICE_OCCUPANCY + 1),
+        ],
+    )
+    def test_many_column_path_at_cell_size_edges(self, sizes):
+        # binary W columns: the all-zero threshold cuts one cell of each size
+        p2 = len(sizes).bit_length() - 1
+        patterns = (np.arange(len(sizes))[:, None] >> np.arange(p2)) & 1
+        rng = np.random.default_rng(len(sizes))
+        w = rng.permutation(np.repeat(patterns, sizes, axis=0)).astype(float)
+        z = rng.standard_normal((len(w), 2))
+        y = np.round(rng.standard_normal(len(w)), 1)
+        assert_exact(pdee_matrix(z, y, w).m, exact_candidate(z, y, w), z)
+
     @given(
         n=st.integers(3, 80),
         p1=st.integers(1, 4),
@@ -300,8 +349,9 @@ class TestPdeeMatrix:
     @settings(max_examples=300, deadline=None)
     # the slice means nearly cancel: entries near 1e-8, rounding near 1e-20
     @example(n=8, p1=1, y_digits=2, w_kind="constant", seed=20260810)
-    def test_one_column_path_matches_loop(self, n, p1, y_digits, w_kind, seed):
-        assert_one_column_path_matches_loop(*one_column_inputs(n, p1, y_digits, w_kind, seed))
+    def test_one_column_path_matches_two_column_path(self, n, p1, y_digits, w_kind, seed):
+        inputs = one_column_inputs(n, p1, y_digits, w_kind, seed)
+        assert_one_column_path_matches_two_column_path(*inputs)
 
     @pytest.mark.parametrize(
         "args",
@@ -314,7 +364,7 @@ class TestPdeeMatrix:
     )
     def test_both_paths_match_exact_value(self, args):
         z, y, w = one_column_inputs(*args)
-        exact = exact_one_column_candidate(z, y, w)
+        exact = exact_candidate(z, y, w)
         assert_exact(pdee_matrix(z, y, w[:, None]).m, exact, z)
         assert_exact(pdee_matrix(z, y, np.column_stack([w, np.zeros_like(w)])).m, exact, z)
 
@@ -337,18 +387,18 @@ class TestPdeeMatrix:
         z = rng.standard_normal((n, 3))
         y = np.round(rng.standard_normal(n), 1)
         w = rng.permutation((np.arange(n) >= size).astype(float))
-        assert_one_column_path_matches_loop(z, y, w)
+        assert_one_column_path_matches_two_column_path(z, y, w)
 
     def test_one_column_path_over_every_cell_size(self):
         # distinct W: the thresholds cut cells of every size 1 .. n - 1
         rng = np.random.default_rng(20)
         n = SLICE_OCCUPANCY * MAX_SLICES + 2
         z = rng.standard_normal((n, 2))
-        assert_one_column_path_matches_loop(z, rng.standard_normal(n), rng.standard_normal(n))
+        assert_one_column_path_matches_two_column_path(z, rng.standard_normal(n), rng.standard_normal(n))
 
-    def test_one_column_path_matches_loop_on_boston(self, boston):
+    def test_one_column_path_matches_two_column_path_on_boston(self, boston):
         z, _ = standardize(boston.x)
-        assert_one_column_path_matches_loop(z, boston.y, boston.w)
+        assert_one_column_path_matches_two_column_path(z, boston.y, boston.w)
 
     def test_one_column_path_scales(self):
         # the loop is O(n^2 log n), and an n x n boolean would be 400 MB here
@@ -366,10 +416,12 @@ class TestPdeeMatrix:
         assert peak < 200e6
         assert abs(cand.eigenvectors[0, 0]) > 0.99
 
-    def test_all_cells_undersized_rejected(self):
+    @pytest.mark.parametrize("p2", [1, 2])
+    def test_all_cells_undersized_rejected(self, p2):
         z = np.array([[1.0], [-1.0], [0.5]])
+        w = np.tile([[0.0], [1.0], [2.0]], p2)
         with pytest.raises(DataError, match="no usable cells"):
-            pdee_matrix(z, np.array([1.0, 2.0, 3.0]), np.array([[0.0], [1.0], [2.0]]))
+            pdee_matrix(z, np.array([1.0, 2.0, 3.0]), w)
 
 
 class TestOrderStatisticSums:

@@ -74,6 +74,11 @@ class TestDesigns:
         with pytest.raises(DataError, match="unknown case"):
             design("ex9", 100, 0.0)
 
+    @pytest.mark.parametrize("a", [np.nan, np.inf, -np.inf])
+    def test_non_finite_departure_rejected(self, a):
+        with pytest.raises(ValueError, match=f"departure a must be finite, got {a}"):
+            design("ex1", 100, a)
+
     @pytest.mark.parametrize("case", ["ex1", "ex2", "ex3", "ex4", "ex5c1", "ex5c2", "ex5c3", "ex5c4"])
     def test_directions_are_unit_norm(self, case):
         dsg = design(case, 100, 0.5)
@@ -395,6 +400,8 @@ class TestExperimentSpec:
         ("mc_reps", "0", "exp.txt: need at least one replicate, got 0"),
         ("alpha", "1.5", r"exp.txt: alpha must be in \(0, 1\), got 1.5"),
         ("reps", "0", "exp.txt: reps must be positive, got 0"),
+        ("a", "0, nan", "exp.txt: departure a must be finite, got nan"),
+        ("a", "inf", "exp.txt: departure a must be finite, got inf"),
     ])
     def test_bad_setting_names_file_and_value(self, tmp_path, key, value, message):
         entries = {"case": "ex1", "n": "50", "a": "0", "reps": "5", "mc_reps": "5",
