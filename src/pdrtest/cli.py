@@ -2,7 +2,8 @@
 
 Exit status reflects operation, not the statistical decision: 0 means the
 command ran (whether or not the null was rejected), 2 means an I/O
-problem, 3 a data or configuration problem, 4 a numerical failure.
+problem, 3 a data or configuration problem, 4 a numerical failure or
+memory running out.
 """
 
 from __future__ import annotations
@@ -186,6 +187,10 @@ def main(argv: list[str] | None = None) -> int:
         return EXIT_NUMERIC
     except np.linalg.LinAlgError as exc:
         print(f"error: linear algebra failure: {exc}", file=sys.stderr)
+        return EXIT_NUMERIC
+    except MemoryError as exc:
+        # numpy's message names the array it could not allocate
+        print(f"error: out of memory: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
     except (ValueError, KeyError) as exc:
         # DataError and configuration mistakes (bad alpha, zero replicates)

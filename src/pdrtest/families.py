@@ -17,6 +17,8 @@ from typing import Callable
 
 import numpy as np
 
+from .dataset import as_columns
+
 MeanFn = Callable[[np.ndarray, np.ndarray, np.ndarray, np.ndarray], np.ndarray]
 GradFn = Callable[[np.ndarray, np.ndarray, np.ndarray, np.ndarray], np.ndarray]
 
@@ -93,12 +95,9 @@ def finite_diff_grad(
     """Central-difference gradient of the mean in ``(beta, theta)``.
 
     Step per coordinate is ``1e-6 * (1 + |coordinate|)``.  Returns shape
-    ``(n, p1 + d)``.
+    ``(n, p1 + d)``.  A 1-D ``x`` or ``w`` is one column.
     """
-    x = np.atleast_2d(np.asarray(x, dtype=float))
-    w = np.asarray(w, dtype=float)
-    if w.ndim == 1:
-        w = w.reshape(-1, 1)
+    x, w = as_columns("x", x), as_columns("w", w)
     params = np.r_[np.asarray(beta, dtype=float), np.asarray(theta, dtype=float)]
     p1 = family.p1
     out = np.empty((x.shape[0], params.size))

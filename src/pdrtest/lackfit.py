@@ -47,7 +47,7 @@ BLOCK_ELEMENTS = 1 << 20
 
 #: Entries of one multiplier block over the sorted kernel, and over a block
 #: kernel whose indicators are built whole: 512 KB of float64, so that a
-#: block and its working copy stay in a core's L2 cache.  A sweep of 2^15
+#: block and its spare buffer stay in a core's L2 cache.  A sweep of 2^15
 #: to 2^18 at n = 8000 and 2000 (2 cores, 2 MB L2 each) was flat to within
 #: noise from 2^15 to 2^17 and slower above.
 CACHE_ELEMENTS = 1 << 16
@@ -71,8 +71,8 @@ SCAN_CHUNK = 16
 
 
 #: Threads of one sorted-kernel multiplier pass at most.  Each span holds
-#: two multiplier blocks of buffers (1 MB), and the gain was measured on
-#: 2 cores only.
+#: two buffers of one multiplier block (1 MB), the only arrays of its size
+#: that its pass touches, and the gain was measured on 2 cores only.
 MAX_THREADS = 2
 
 
@@ -126,6 +126,12 @@ class DominanceKernel:
     def slot_sums(self, values: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
         raise NotImplementedError
 
+    def _pass_sums(self, u: np.ndarray, spare: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """The slot sums of (rows, n) ``u``, written to ``u`` or to
+        ``spare``, and the other of the two, now free: a multiplier pass
+        sums a block in its two buffers, and both are overwritten."""
+        return self.slot_sums(u, spare), u
+
 
 class SortedKernel(DominanceKernel):
     """One column of points: slot t is sorted position t, and point j's sum
@@ -138,7 +144,11 @@ class SortedKernel(DominanceKernel):
     each chunk is multiplied by ``upper``, the upper-triangular matrix of
     ones, so that one product per row gives every prefix sum.  The slots
     after the last whole chunk, 1-D values and shorter rows take
-    ``np.cumsum``."""
+    ``np.cumsum``.  ``slot_sums`` reads a sorted copy of 2-D values, as the
+    product cannot be written over its own input; a multiplier pass sorts
+    its block into the spare buffer and sums it back into the block's own,
+    so that a span's two buffers are the only (rows, n) arrays it
+    touches."""
 
     def __init__(self, points: np.ndarray):
         col, self.points, self.n = points[:, 0], points, points.shape[0]
@@ -158,18 +168,21 @@ class SortedKernel(DominanceKernel):
             return 1
         return min(cores(), MAX_THREADS)
 
-    def slot_sums(self, values: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    def _chunked(self, values: np.ndarray) -> bool:
+        return np.ndim(values) >= 2 and self.n >= self.upper.shape[0]
+
+    def _gather(self, values: np.ndarray, out: np.ndarray | None) -> np.ndarray:
+        # "clip" on indices that are all valid: the default "raise" buffers ``out``
+        return np.take(values, self.order, axis=-1, out=out, mode="clip")
+
+    def _scan(self, t: np.ndarray, out: np.ndarray) -> np.ndarray:
+        """The prefix sums of sorted ``t`` (overwritten) into ``out``,
+        which is ``t`` itself only where the rows are not chunked: a
+        product written over its own input would make numpy copy it."""
+        if not self._chunked(t):
+            return np.cumsum(t, axis=-1, out=out)
         size = self.upper.shape[0]
         whole = self.n - self.n % size
-        if np.ndim(values) < 2 or whole == 0:
-            # "clip" on indices that are all valid: the default "raise" buffers ``out``
-            out = np.take(values, self.order, axis=-1, out=out, mode="clip")
-            return np.cumsum(out, axis=-1, out=out)
-        if out is None:
-            out = np.empty(np.shape(values))
-        # the sorted copy is the product's input: a product written over its
-        # own input would make numpy copy it again
-        t = np.take(values, self.order, axis=-1, mode="clip")
         chunks = t[..., :whole].reshape(t.shape[:-1] + (-1, size))
         carry = np.matmul(chunks, self.upper[0])  # the chunk totals
         np.cumsum(carry, axis=-1, out=carry)
@@ -179,6 +192,16 @@ class SortedKernel(DominanceKernel):
             t[..., whole] += carry[..., -1]
             np.cumsum(t[..., whole:], axis=-1, out=out[..., whole:])
         return out
+
+    def slot_sums(self, values: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+        if out is None:
+            out = np.empty(np.shape(values))
+        # unchunked rows are summed in place, so they are sorted into ``out``
+        return self._scan(self._gather(values, None if self._chunked(values) else out), out)
+
+    def _pass_sums(self, u: np.ndarray, spare: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        # sorted into the spare buffer, summed back into ``u``: no sorted copy
+        return self._scan(self._gather(u, spare), u), spare
 
 
 class BlockKernel(DominanceKernel):
@@ -352,12 +375,14 @@ class InfluenceOperator:
         self.g = kernel.slot_sums(score.T) / n
 
     def slot_pass(self, u: np.ndarray, x: np.ndarray) -> np.ndarray:
-        """``u @ a`` in slot order, written to ``x``; ``u`` is overwritten.
-        The two buffers swap roles, so the pass needs no third one."""
+        """``u @ a`` in slot order, written to ``u`` or to ``x`` and
+        returned; both are overwritten.  The kernel sums in the two
+        buffers, and ``c @ G`` goes to the one it leaves free, so the pass
+        needs no third one."""
         c = u @ self.v
         u *= self.r
-        y = self.kernel.slot_sums(u, x)
-        y -= np.matmul(c, self.g, out=u)
+        y, free = self.kernel._pass_sums(u, x)
+        y -= np.matmul(c, self.g, out=free)
         return y
 
     def square_sums(self, u: np.ndarray, x: np.ndarray) -> np.ndarray:
@@ -417,9 +442,12 @@ def mc_pvalue(t_n: float, a: InfluenceOperator, m: int, seed: int) -> tuple[floa
     The multipliers are drawn into one reused block buffer, of the rows the
     operator's kernel sets: about 2^16 entries over the sorted kernel and
     over a block kernel up to n = 1024 (8 rows at n = 8000, 129 at the
-    housing data's 506), so that the draws and their working copy stay in
-    cache, and ``block_width(n)`` rows over a larger block kernel.  Each
-    block is one :meth:`InfluenceOperator.square_sums`.
+    housing data's 506), so that the draws and a spare buffer of the same
+    size stay in cache, and ``block_width(n)`` rows over a larger block
+    kernel.  Each block is one :meth:`InfluenceOperator.square_sums` in
+    those two buffers, so a pass holds ``2 * spans * rows * n`` floats
+    (1 MB a span at 2^16 entries) and the ``m`` replicates; over the sorted
+    kernel it allocates no array of a block's size per block.
 
     The blocks are cut into ``min(a.kernel.threads, blocks)`` contiguous
     spans of whole blocks, one per thread, each with its own buffers: more

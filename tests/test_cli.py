@@ -13,8 +13,8 @@ import numpy as np
 import pytest
 
 import pdrtest
-from pdrtest import design, generate, lackfit
-from pdrtest.cli import EXIT_DATA, EXIT_IO, EXIT_OK, main
+from pdrtest import cli, design, generate, lackfit
+from pdrtest.cli import EXIT_DATA, EXIT_IO, EXIT_NUMERIC, EXIT_OK, main
 
 
 def write_dataset_csv(path, ds):
@@ -144,6 +144,20 @@ class TestCmdTest:
                      "--mc-reps", "20", "--seed", "-1"])
         assert code == EXIT_DATA
         assert "seed must be a non-negative integer, got -1" in capsys.readouterr().err
+
+    def test_memory_running_out_is_one_line(self, capsys, monkeypatch):
+        # numpy's own message; raised here, so that nothing is allocated
+        message = "Unable to allocate 745. GiB for an array with shape (100000000000,) and data type float64"
+
+        def fail(*args, **kwargs):
+            raise MemoryError(message)
+
+        monkeypatch.setattr(cli, "run_test", fail)
+        code = main(["test", "--preset", "boston", "--mc-reps", "100000000000", "--seed", "1"])
+        assert code == EXIT_NUMERIC
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: out of memory: {message}\n"
 
     def test_unknown_family(self, ex1_file, capsys):
         code = main(["test", "--data", ex1_file, "--y", "y",

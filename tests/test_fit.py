@@ -192,6 +192,14 @@ class TestGradients:
         got = finite_diff_grad(family, x, w, rng.standard_normal(3), np.empty(0))
         np.testing.assert_allclose(got, x, atol=1e-9)
 
+    def test_one_dimensional_x_is_one_column(self):
+        family = get_family("linear", 1, 0)
+        x = np.random.default_rng(16).standard_normal(50)
+        got = finite_diff_grad(family, x, np.empty((50, 0)), np.ones(1), np.empty(0))
+        np.testing.assert_array_equal(
+            got, finite_diff_grad(family, x[:, None], np.empty((50, 0)), np.ones(1), np.empty(0)))
+        assert got.shape == (50, 1)
+
     def test_sine_index_gradient_at_zero(self):
         family = ModelFamily(
             name="sine-probe", p1=3, d=0, mean=lambda x, w, b, t: np.sin(x @ b)

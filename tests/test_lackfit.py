@@ -680,6 +680,50 @@ class TestThreadedPass:
             mc_pvalue(0.0, a, 30, 45)
         assert threading.active_count() == before
 
+    @pytest.mark.parametrize("spans", [2, 1])
+    def test_w_free_pass_holds_two_buffers_per_span(self, monkeypatch, spans):
+        # each span sums its blocks in its own two buffers and no sorted
+        # copy; 0.4 MB covers the chunk totals and the threads
+        _, fit, proj = fitted_instance("ex1", 8000, 0.6, 28)
+        a = rho_matrix(fit, influence_vectors(fit), proj)
+        monkeypatch.setattr(lackfit, "cores", lambda: 2)
+        monkeypatch.setattr(lackfit, "MAX_THREADS", spans)
+        n, m, rows = 8000, 1000, a.kernel.rows
+        assert a.kernel.threads == spans
+        tracemalloc.start()
+        try:
+            _, reps = mc_pvalue(1.0, a, m, 29)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert reps.shape == (m,)
+        bound = 2 * spans * rows * n * 8 + 8 * m + 0.4e6
+        assert peak <= bound, f"tracemalloc peak {peak / 1e6:.2f} MB over {bound / 1e6:.2f} MB"
+
+    @pytest.mark.parametrize("n", [5 * CHUNK, 5 * CHUNK + 7])  # whole chunks only, a tail
+    @pytest.mark.parametrize("spans", [1, 2])
+    def test_pass_in_two_buffers_matches_fresh_arrays(self, monkeypatch, n, spans):
+        # square_sums over a block and its spare buffer, and mc_pvalue's
+        # replicates on one and two spans, bit for bit against each block's
+        # (slot_sums(u * r) - (u @ v) @ G)^2 @ weights in new arrays
+        a, _ = random_operator(np.random.default_rng(n), n, 1, "tied")
+        kernel, m, seed = a.kernel, 3 * self.ROWS - 2, 48
+
+        def fresh(u):
+            return (kernel.slot_sums(u * a.r) - (u @ a.v) @ a.g) ** 2 @ kernel.weights
+
+        u = np.random.default_rng(49).standard_normal((self.ROWS, n))
+        np.testing.assert_array_equal(a.square_sums(u.copy(), np.empty_like(u)), fresh(u))
+        monkeypatch.setattr(lackfit, "CACHE_ELEMENTS", n * self.ROWS)
+        monkeypatch.setattr(lackfit, "THREAD_CROSSOVER", 1)
+        monkeypatch.setattr(lackfit, "cores", lambda: spans)
+        assert min(kernel.threads, 3) == spans
+        _, reps = mc_pvalue(0.0, a, m, seed)
+        draws = np.array([np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(j,))).standard_normal(n)
+                          for j in range(m)])
+        want = np.concatenate([fresh(draws[lo:lo + self.ROWS]) for lo in range(0, m, self.ROWS)])
+        np.testing.assert_array_equal(reps, want / (n * n))
+
     def test_runs_without_an_affinity_call(self, monkeypatch):
         # macOS and Windows have no os.sched_getaffinity
         a, _ = random_operator(np.random.default_rng(46), 40, 1, "random")
