@@ -7,20 +7,21 @@ approximated by multiplying estimated influence contributions with
 independent standard normal draws; the p-value is the fraction of
 resampled statistics at least as large as the observed one, which makes
 the decision invariant to any common positive rescaling.  The statistic,
-the score mean and each resampled statistic are one operation, the slot
-sums of a :class:`DominanceKernel`, and the statistic and the replicates
-are read from them alike, ``(y * y) @ weights / n^2``; no n x n array is
-formed above n = 1024.  Over one column of points the slot sums are prefix
-sums in sorted order, taken for a block of rows as one product per row of
-chunks of ``SCAN_CHUNK`` slots with a triangular matrix of ones, in place
-of ``np.cumsum``'s serial chain of adds.  From ``THREAD_CROSSOVER``
-observations, a W-free multiplier pass runs one span of whole replicate
-blocks per core, up to ``MAX_THREADS``, concurrently, and gives one span's
-replicates bit for bit.
+the score mean and each block of resampled statistics are one operation,
+``slot_sums(values, spare)`` of a :class:`DominanceKernel`, and the
+statistic and the replicates are read from its sums alike, ``(y * y) @
+weights / n^2``; no n x n array is formed above n = 1024.  Over one column
+of points the slot sums are prefix sums in sorted order, taken for a block
+of rows as one product per row of chunks of ``SCAN_CHUNK`` slots with a
+triangular matrix of ones, in place of ``np.cumsum``'s serial chain of
+adds.  From ``THREAD_CROSSOVER`` observations, a W-free multiplier pass
+runs one span of whole replicate blocks per core, up to ``MAX_THREADS``,
+concurrently, and gives one span's replicates bit for bit.
 """
 
 from __future__ import annotations
 
+import contextlib
 import functools
 import multiprocessing
 import numbers
@@ -111,10 +112,11 @@ def column_blocks(n: int) -> list[slice]:
 
 
 class DominanceKernel:
-    """Dominance sums ``out[..., j] = sum_i values[..., i] * 1{points_i <=
+    """Dominance sums ``sums[..., j] = sum_i values[..., i] * 1{points_i <=
     points_j}`` over fixed (n, k) ``points``, in one operation:
-    ``slot_sums(values, out=None)`` writes them, along the last axis and in
-    the kernel's slot order, to ``out`` (a new array if None) and returns it.
+    ``slot_sums(values, spare)`` writes them, along the last axis and in
+    the kernel's slot order, to ``values`` (which it may overwrite) or to
+    ``spare`` of the same shape, and returns them with the other, now free.
 
     Point j's sum is in slot ``slot_of[j]``, and ``weights[t]`` counts the
     points whose sum slot t holds, so ``(y * y) @ weights`` adds each
@@ -123,14 +125,8 @@ class DominanceKernel:
     may run on.
     """
 
-    def slot_sums(self, values: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    def slot_sums(self, values: np.ndarray, spare: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         raise NotImplementedError
-
-    def _pass_sums(self, u: np.ndarray, spare: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """The slot sums of (rows, n) ``u``, written to ``u`` or to
-        ``spare``, and the other of the two, now free: a multiplier pass
-        sums a block in its two buffers, and both are overwritten."""
-        return self.slot_sums(u, spare), u
 
 
 class SortedKernel(DominanceKernel):
@@ -138,17 +134,15 @@ class SortedKernel(DominanceKernel):
     is the prefix sum of the sorted values read at the last position of
     its tie run.  Slots inside a run hold partial sums and have weight 0.
 
-    The prefix sums of rows of at least ``SCAN_CHUNK`` values are taken
-    in chunks of that many slots.  The running sum of the chunk totals up
-    to each chunk is added to the first value of the next chunk, and then
-    each chunk is multiplied by ``upper``, the upper-triangular matrix of
-    ones, so that one product per row gives every prefix sum.  The slots
-    after the last whole chunk, 1-D values and shorter rows take
-    ``np.cumsum``.  ``slot_sums`` reads a sorted copy of 2-D values, as the
-    product cannot be written over its own input; a multiplier pass sorts
-    its block into the spare buffer and sums it back into the block's own,
-    so that a span's two buffers are the only (rows, n) arrays it
-    touches."""
+    ``slot_sums`` sorts ``values`` into ``spare``.  1-D values and rows
+    shorter than ``SCAN_CHUNK`` are then summed in place by ``np.cumsum``.
+    Longer rows are summed back into ``values`` in chunks of
+    ``SCAN_CHUNK`` slots: the running sum of the chunk totals up to each
+    chunk is added to the first value of the next chunk, and then each
+    chunk is multiplied by ``upper``, the upper-triangular matrix of ones,
+    so that one product per row gives every prefix sum; a product cannot
+    be written over its own input.  The slots after the last whole chunk
+    take ``np.cumsum``."""
 
     def __init__(self, points: np.ndarray):
         col, self.points, self.n = points[:, 0], points, points.shape[0]
@@ -168,51 +162,33 @@ class SortedKernel(DominanceKernel):
             return 1
         return min(cores(), MAX_THREADS)
 
-    def _chunked(self, values: np.ndarray) -> bool:
-        return np.ndim(values) >= 2 and self.n >= self.upper.shape[0]
-
-    def _gather(self, values: np.ndarray, out: np.ndarray | None) -> np.ndarray:
-        # "clip" on indices that are all valid: the default "raise" buffers ``out``
-        return np.take(values, self.order, axis=-1, out=out, mode="clip")
-
-    def _scan(self, t: np.ndarray, out: np.ndarray) -> np.ndarray:
-        """The prefix sums of sorted ``t`` (overwritten) into ``out``,
-        which is ``t`` itself only where the rows are not chunked: a
-        product written over its own input would make numpy copy it."""
-        if not self._chunked(t):
-            return np.cumsum(t, axis=-1, out=out)
+    def slot_sums(self, values: np.ndarray, spare: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        # "clip" on indices that are all valid: the default "raise" buffers ``spare``
+        t = np.take(values, self.order, axis=-1, out=spare, mode="clip")
         size = self.upper.shape[0]
+        if t.ndim < 2 or self.n < size:
+            return np.cumsum(t, axis=-1, out=t), values
         whole = self.n - self.n % size
         chunks = t[..., :whole].reshape(t.shape[:-1] + (-1, size))
         carry = np.matmul(chunks, self.upper[0])  # the chunk totals
         np.cumsum(carry, axis=-1, out=carry)
         chunks[..., 1:, 0] += carry[..., :-1]
-        np.matmul(chunks, self.upper, out=out[..., :whole].reshape(chunks.shape))
+        np.matmul(chunks, self.upper, out=values[..., :whole].reshape(chunks.shape))
         if whole < self.n:
             t[..., whole] += carry[..., -1]
-            np.cumsum(t[..., whole:], axis=-1, out=out[..., whole:])
-        return out
-
-    def slot_sums(self, values: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-        if out is None:
-            out = np.empty(np.shape(values))
-        # unchunked rows are summed in place, so they are sorted into ``out``
-        return self._scan(self._gather(values, None if self._chunked(values) else out), out)
-
-    def _pass_sums(self, u: np.ndarray, spare: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        # sorted into the spare buffer, summed back into ``u``: no sorted copy
-        return self._scan(self._gather(u, spare), u), spare
+            np.cumsum(t[..., whole:], axis=-1, out=values[..., whole:])
+        return values, spare
 
 
 class BlockKernel(DominanceKernel):
     """Two or more columns of points: slot j is point j, and the sums are
-    products with the dense indicators.  While one block holds every
-    column (``n <= block_width(n)``), the float64 indicator matrix is
-    built once, on first use, and a multiplier block has the cache-sized
-    rows of the sorted kernel.  Above that, column blocks are built on
-    every call, a multiplier block has ``block_width(n)`` rows, and memory
-    stays O(block * n).  A pass runs on one thread: its products already
-    run on the BLAS threads."""
+    products with the dense indicators, written to ``spare``.  While one
+    block holds every column (``n <= block_width(n)``), the float64
+    indicator matrix is built once, on first use, and a multiplier block
+    has the cache-sized rows of the sorted kernel.  Above that, column
+    blocks are built on every call, a multiplier block has
+    ``block_width(n)`` rows, and memory stays O(block * n).  A pass runs
+    on one thread: its products already run on the BLAS threads."""
 
     threads = 1
 
@@ -234,14 +210,12 @@ class BlockKernel(DominanceKernel):
         """The (n, n) float64 indicator matrix, for ``whole`` kernels."""
         return indicator_block(self.points, slice(0, self.n)).astype(float)
 
-    def slot_sums(self, values: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    def slot_sums(self, values: np.ndarray, spare: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         if self.whole:
-            return np.matmul(values, self.indicators, out=out)
-        if out is None:
-            out = np.empty(np.shape(values))
+            return np.matmul(values, self.indicators, out=spare), values
         for cols in column_blocks(self.n):
-            np.matmul(values, indicator_block(self.points, cols), out=out[..., cols])
-        return out
+            np.matmul(values, indicator_block(self.points, cols), out=spare[..., cols])
+        return spare, values
 
 
 def dominance_kernel(points: np.ndarray) -> DominanceKernel:
@@ -339,12 +313,12 @@ def build_projected(ds: Dataset, basis: BasisEstimate) -> ProjectedSample:
 
 def tn_statistic(residuals: np.ndarray, proj: ProjectedSample) -> float:
     """Integrated squared residual partial-sum process over the sample points."""
-    resid = np.asarray(residuals, dtype=float).reshape(-1)
+    resid = np.array(residuals, dtype=float).reshape(-1)  # a copy: the kernel overwrites it
     n = resid.shape[0]
     if proj.s.shape[0] != n:
         raise ValueError(f"{n} residuals but {proj.s.shape[0]} projected points")
     kernel = proj.full
-    y = kernel.slot_sums(resid)
+    y, _ = kernel.slot_sums(resid, np.empty(n))
     return float(np.square(y, out=y) @ kernel.weights / (n * n))
 
 
@@ -357,12 +331,13 @@ class InfluenceOperator:
     ``u @ a`` is defined, and no n x n array is formed.
 
     ``u @ a`` is the dominance sums of ``u * r`` less ``(u @ v) @ G``, so
-    :meth:`slot_pass` is ``c = u @ v``, ``u *= r``, ``y = slot_sums(u)``,
-    ``y -= c @ G``: one :meth:`DominanceKernel.slot_sums` of the
-    first-column kernel.  ``r`` and ``v`` stay in point order, and only
-    ``G = slot_sums(score') / n`` is in slot order, built once, here.  A
-    replicate reads ``y`` as ``t_n`` reads its sums, ``(y * y) @ weights``,
-    and ``__rmatmul__`` reads column j at ``slot_of[j]``.
+    :meth:`slot_pass` is ``c = u @ v``, ``u *= r``, ``y, free =
+    slot_sums(u, x)``, ``y -= c @ G`` with the product in ``free``: one
+    :meth:`DominanceKernel.slot_sums` of the first-column kernel.  ``r``
+    and ``v`` stay in point order, and only ``G``, the slot sums of
+    ``score'`` over n, is in slot order, built once, here.  A replicate
+    reads ``y`` as ``t_n`` reads its sums, ``(y * y) @ weights``, and
+    ``__rmatmul__`` reads column j at ``slot_of[j]``.
     """
 
     __array_ufunc__ = None  # ``u @ a`` on an ndarray ``u`` calls __rmatmul__
@@ -372,7 +347,10 @@ class InfluenceOperator:
         self.kernel, self.shape = kernel, (n, n)
         # C order: ``u @ v`` sums in one order, to the same bits, for any layout of v
         self.r, self.v = r, np.ascontiguousarray(v)
-        self.g = kernel.slot_sums(score.T) / n
+        t = score.T.copy(order="K")  # the kernel may overwrite it; score's own layout, no transpose
+        # C order, whichever buffer holds the sums: ``c @ G`` over G in F order
+        # took 1.6x as long at n = 8000
+        self.g = np.ascontiguousarray(kernel.slot_sums(t, np.empty(t.shape))[0] / n)
 
     def slot_pass(self, u: np.ndarray, x: np.ndarray) -> np.ndarray:
         """``u @ a`` in slot order, written to ``u`` or to ``x`` and
@@ -381,7 +359,7 @@ class InfluenceOperator:
         needs no third one."""
         c = u @ self.v
         u *= self.r
-        y, free = self.kernel._pass_sums(u, x)
+        y, free = self.kernel.slot_sums(u, x)
         y -= np.matmul(c, self.g, out=free)
         return y
 
@@ -446,17 +424,18 @@ def mc_pvalue(t_n: float, a: InfluenceOperator, m: int, seed: int) -> tuple[floa
     size stay in cache, and ``block_width(n)`` rows over a larger block
     kernel.  Each block is one :meth:`InfluenceOperator.square_sums` in
     those two buffers, so a pass holds ``2 * spans * rows * n`` floats
-    (1 MB a span at 2^16 entries) and the ``m`` replicates; over the sorted
-    kernel it allocates no array of a block's size per block.
+    (1 MB a span at 2^16 entries) and the ``m`` replicates; only a large
+    block kernel allocates per block, its indicator blocks.
 
     The blocks are cut into ``min(a.kernel.threads, blocks)`` contiguous
     spans of whole blocks, one per thread, each with its own buffers: more
     than one only over the sorted kernel from ``THREAD_CROSSOVER``
     observations, on the cores of the affinity mask up to ``MAX_THREADS``,
     and never in a multiprocessing child such as a ``simulate`` pool
-    worker.  The calling thread runs the first span, and the helper threads
-    are joined before this returns, so none outlives the call.  A replicate
-    is drawn and summed the same way in any span, so the replicates do not
+    worker.  The calling thread runs the first span in a thread pool that
+    starts a helper thread for each further span only, and the helpers are
+    joined before this returns, so none outlives the call.  A replicate is
+    drawn and summed the same way in any span, so the replicates do not
     depend on the thread count.  Returns the p-value and the replicate
     statistics themselves.
     """
@@ -477,14 +456,11 @@ def mc_pvalue(t_n: float, a: InfluenceOperator, m: int, seed: int) -> tuple[floa
                 np.random.default_rng(child).standard_normal(out=row)
             replicates[start:start + k] = a.square_sums(u[:k], x[:k])
 
-    if spans == 1:
-        span(0, m)
-    else:
-        with ThreadPoolExecutor(spans - 1) as pool:
-            helpers = [pool.submit(span, lo, hi) for lo, hi in zip(cuts[1:-1], cuts[2:])]
-            span(cuts[0], cuts[1])
-            for done in helpers:
-                done.result()
+    with ThreadPoolExecutor(spans) as pool:  # a thread per submission at most
+        helpers = [pool.submit(span, lo, hi) for lo, hi in zip(cuts[1:-1], cuts[2:])]
+        span(cuts[0], cuts[1])
+        for done in helpers:
+            done.result()
     replicates /= n * n
     return pvalue_from_replicates(t_n, replicates), replicates
 
@@ -495,6 +471,19 @@ def _integer(k) -> bool:
     return isinstance(k, numbers.Integral) and not isinstance(k, bool)
 
 
+def _memory_bytes() -> int | None:
+    """Bytes of memory this process can use: the smaller of physical memory
+    and ``MemAvailable`` in ``/proc/meminfo``, of those that can be read,
+    or None if neither can."""
+    sizes = []
+    with contextlib.suppress(AttributeError, ValueError, OSError):  # no sysconf on Windows
+        sizes.append(os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE"))
+    with contextlib.suppress(OSError, ValueError, IndexError):  # only Linux has /proc/meminfo
+        with open("/proc/meminfo", encoding="ascii") as fh:
+            sizes += [int(line.split()[1]) * 1024 for line in fh if line.startswith("MemAvailable:")]
+    return min((size for size in sizes if size > 0), default=None)
+
+
 def _check_draws(m: int, seed: int) -> None:
     if not _integer(seed) or seed < 0:
         raise DataError(f"seed must be a non-negative integer, got {seed}")
@@ -502,13 +491,18 @@ def _check_draws(m: int, seed: int) -> None:
         raise ValueError(f"the number of replicates must be an integer, got {m}")
     if m < 1:
         raise ValueError(f"need at least one replicate, got {m}")
+    limit, need = _memory_bytes(), 8 * int(m)
+    if limit is not None and need > limit:
+        raise DataError(f"{m} replicates need {need:,} bytes for their values alone, "
+                        f"more than the {limit:,} bytes of memory this process can use")
 
 
 def check_settings(m: int, alpha: float, seed: int) -> None:
     """Reject a Monte Carlo size, level or seed the test cannot use, before
     any work is done.  ``m`` must be a positive integer and ``seed`` a
     non-negative one, Python's or numpy's; a float or a bool is refused
-    even when it is integral."""
+    even when it is integral, and the ``m`` replicates alone, 8 m bytes,
+    must fit in the memory that :func:`_memory_bytes` reads."""
     if not 0.0 < alpha < 1.0:
         raise ValueError(f"alpha must be in (0, 1), got {alpha}")
     _check_draws(m, seed)

@@ -11,6 +11,7 @@ index), so results do not depend on scheduling or worker count.
 
 from __future__ import annotations
 
+import contextlib
 import csv
 import dataclasses
 import io
@@ -170,10 +171,12 @@ def power_experiment(
     """Rejection frequency of the test over fresh datasets, per grid cell.
 
     Deterministic given ``seed`` regardless of ``workers`` (default 1);
-    failed replicates are logged and re-raised, non-converged fits only
-    counted and logged.  A bad level, Monte Carlo size, seed, replicate or
-    worker count is named before any replicate runs; the counts, the size
-    and the seed must be integers, as :func:`check_settings` requires.
+    more than one worker runs the replicates of every design in one
+    process pool, made once per call.  Failed replicates are logged and
+    re-raised, non-converged fits only counted and logged.  A bad level,
+    Monte Carlo size, seed, replicate or worker count is named before any
+    replicate runs; the counts, the size and the seed must be integers, as
+    :func:`check_settings` requires.
     """
     if not _integer(reps):
         raise ValueError(f"reps must be an integer, got {reps}")
@@ -186,38 +189,38 @@ def power_experiment(
         raise DataError(f"workers must be at least 1, got {workers}")
     n_workers = 1 if workers is None else int(workers)
     rows: list[PowerRow] = []
-    for gi, dsg in enumerate(designs):
-        tasks = [(dsg, gi, r, seed, mc_reps, alpha) for r in range(reps)]
-        try:
-            if n_workers == 1:
-                outcomes = [_one_replicate(t) for t in tasks]
-            else:
-                with ProcessPoolExecutor(max_workers=n_workers) as pool:
+    with ProcessPoolExecutor(n_workers) if n_workers > 1 else contextlib.nullcontext() as pool:
+        for gi, dsg in enumerate(designs):
+            tasks = [(dsg, gi, r, seed, mc_reps, alpha) for r in range(reps)]
+            try:
+                if pool is None:
+                    outcomes = [_one_replicate(t) for t in tasks]
+                else:
                     outcomes = list(pool.map(_one_replicate, tasks, chunksize=8))
-        except Exception:
-            logger.exception(
-                "replicate failed in case=%s n=%d a=%g", dsg.case_id, dsg.n, dsg.a
+            except Exception:
+                logger.exception(
+                    "replicate failed in case=%s n=%d a=%g", dsg.case_id, dsg.n, dsg.a
+                )
+                raise
+            rejections = sum(rej for rej, _ in outcomes)
+            warnings = sum(wrn for _, wrn in outcomes)
+            if warnings:
+                logger.warning(
+                    "case=%s n=%d a=%g: %d/%d replicates had non-converged fits",
+                    dsg.case_id, dsg.n, dsg.a, warnings, reps,
+                )
+            rows.append(
+                PowerRow(
+                    case=dsg.case_id,
+                    n=dsg.n,
+                    a=dsg.a,
+                    reps=reps,
+                    mc_reps=mc_reps,
+                    alpha=alpha,
+                    rejection_rate=rejections / reps,
+                    seed=seed,
+                )
             )
-            raise
-        rejections = sum(rej for rej, _ in outcomes)
-        warnings = sum(wrn for _, wrn in outcomes)
-        if warnings:
-            logger.warning(
-                "case=%s n=%d a=%g: %d/%d replicates had non-converged fits",
-                dsg.case_id, dsg.n, dsg.a, warnings, reps,
-            )
-        rows.append(
-            PowerRow(
-                case=dsg.case_id,
-                n=dsg.n,
-                a=dsg.a,
-                reps=reps,
-                mc_reps=mc_reps,
-                alpha=alpha,
-                rejection_rate=rejections / reps,
-                seed=seed,
-            )
-        )
     return PowerTable(rows=rows)
 
 

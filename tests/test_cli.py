@@ -159,6 +159,21 @@ class TestCmdTest:
         assert captured.out == ""
         assert captured.err == f"error: out of memory: {message}\n"
 
+    def test_replicates_past_memory_refused_before_fitting(self, capsys, monkeypatch):
+        def fail(*args, **kwargs):
+            raise AssertionError("basis estimated before the Monte Carlo size was checked")
+
+        monkeypatch.setattr(lackfit, "estimate_basis", fail)
+        monkeypatch.setattr(lackfit, "_memory_bytes", lambda: 16_000_000_000)
+        code = main(["test", "--preset", "boston", "--family", "linear+w",
+                     "--mc-reps", "100000000000", "--seed", "1"])
+        assert code == EXIT_DATA
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == ("error: 100000000000 replicates need 800,000,000,000 bytes for their "
+                                "values alone, more than the 16,000,000,000 bytes of memory this "
+                                "process can use\n")
+
     def test_unknown_family(self, ex1_file, capsys):
         code = main(["test", "--data", ex1_file, "--y", "y",
                      "--x", "x1,x2,x3,x4", "--family", "quadratic",

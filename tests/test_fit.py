@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import dataclasses
+import multiprocessing
+
 import numpy as np
 import pytest
 
@@ -10,12 +13,15 @@ from pdrtest import (
     ModelFamily,
     SingularityError,
     design,
+    families,
     family_names,
     finite_diff_grad,
     generate,
     get_family,
     influence_vectors,
     nls_fit,
+    power_experiment,
+    register_family,
     run_test,
 )
 
@@ -249,3 +255,53 @@ class TestGradients:
                 mean=lambda x, w, b, t: x @ b,
                 grad=lambda x, w, b, t: 2.0 * np.asarray(x),
             )
+
+
+def cubic_family(name, theta_scale=1.0):
+    """A factory of ``x'b + t (x'b)^3``, with an analytic gradient that is
+    wrong in its theta component unless ``theta_scale`` is 1."""
+
+    def mean(x, w, b, t):
+        return x @ b + t[0] * (x @ b) ** 3
+
+    def grad(x, w, b, t):
+        z = x @ b
+        return np.column_stack([x * (1.0 + 3.0 * t[0] * z**2)[:, None], theta_scale * z**3])
+
+    return lambda p1, p2: ModelFamily(name=name, p1=p1, d=1, mean=mean, grad=grad)
+
+
+class TestRegisterFamily:
+    @pytest.fixture(autouse=True)
+    def registry(self, monkeypatch):
+        # each test registers into a copy, and the registry is restored after it
+        monkeypatch.setattr(families, "_REGISTRY", dict(families._REGISTRY))
+
+    def test_registered_family_runs_the_test(self):
+        register_family("cubic-index", cubic_family("cubic-index"))
+        assert "cubic-index" in family_names()
+        ds = generate(design("ex3", 60, 0.0), np.random.default_rng(30))
+        rep = run_test(ds, "cubic-index", m=50, seed=31)
+        assert rep.family == "cubic-index" and rep.fit.theta.shape == (1,)
+        assert np.isfinite(rep.t_n) and 0.0 <= rep.p_hat <= 1.0 and rep.replicates.shape == (50,)
+
+    def test_registered_family_in_pool_workers(self):
+        if multiprocessing.get_start_method() != "fork":
+            pytest.skip("pool workers see a family registered here only when forked")
+        register_family("cubic-index", cubic_family("cubic-index"))
+        designs = [dataclasses.replace(design("ex3", 60, 0.0), null_family="cubic-index")]
+        pooled = power_experiment(designs, reps=4, mc_reps=30, alpha=0.05, seed=32, workers=2)
+        serial = power_experiment(designs, reps=4, mc_reps=30, alpha=0.05, seed=32, workers=1)
+        assert pooled.rows == serial.rows
+
+    def test_wrong_gradient_refused_when_built(self):
+        register_family("bad-cubic", cubic_family("bad-cubic", theta_scale=2.0))
+        with pytest.raises(ValueError, match="^family 'bad-cubic': gradient component 3 disagrees"):
+            get_family("bad-cubic", 3, 0)
+
+    @pytest.mark.parametrize("name", ["cubic-index", "linear"])
+    def test_repeated_name_refused(self, name):
+        if name not in family_names():
+            register_family(name, cubic_family(name))
+        with pytest.raises(ValueError, match=f"^family '{name}' already registered$"):
+            register_family(name, cubic_family(name))

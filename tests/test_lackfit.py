@@ -6,6 +6,7 @@ import json
 
 import dataclasses
 import functools
+import io
 import os
 import threading
 import tracemalloc
@@ -42,9 +43,14 @@ from pdrtest import (
 from pdrtest.lackfit import ProjectedSample
 
 
+def slot_sums(kernel, values):
+    """The kernel's slot sums of ``values``, in new arrays."""
+    return kernel.slot_sums(np.array(values, dtype=float), np.empty(np.shape(values)))[0]
+
+
 def point_sums(kernel, values):
     """The kernel's dominance sums of ``values``, point by point."""
-    return np.take(kernel.slot_sums(values), kernel.slot_of, axis=-1)
+    return np.take(slot_sums(kernel, values), kernel.slot_of, axis=-1)
 
 
 def proj_from_points(s, w=None):
@@ -221,13 +227,16 @@ class TestDominanceSums:
     @pytest.mark.parametrize("k, width", [(1, 30), (2, 30), (2, 7)])  # sorted, whole, column blocks
     @pytest.mark.parametrize("shape", [(30,), (4, 30)])
     def test_slot_sums_into_out(self, monkeypatch, k, width, shape):
+        # the sums land in one of the two buffers given, whatever the
+        # spare held, and the other comes back free
         rng = np.random.default_rng(53)
         kernel = lackfit.dominance_kernel(draw_points(rng, 30, k, "tied"))
         blocks_of(monkeypatch, 30, width)
         values = rng.standard_normal(shape)
-        out = np.empty(shape)
-        assert kernel.slot_sums(values, out) is out
-        np.testing.assert_array_equal(out, kernel.slot_sums(values))
+        buffers = (values.copy(), np.full(shape, np.nan))
+        sums, free = kernel.slot_sums(*buffers)
+        assert {id(sums), id(free)} == set(map(id, buffers))
+        np.testing.assert_array_equal(sums, slot_sums(kernel, values))
         assert_rel(point_sums(kernel, values), values @ indicator_matrix(kernel.points))
 
     @pytest.mark.parametrize("shape", [(8000,), (4, CHUNK - 1), (3, CHUNK), (1, 8000), (8, 8000),
@@ -238,8 +247,8 @@ class TestDominanceSums:
         kernel = lackfit.SortedKernel(rng.standard_normal((shape[-1], 1)))
         values = rng.standard_normal(shape)
         want = np.cumsum(values[..., kernel.order], axis=-1)
-        assert_rel(kernel.slot_sums(values), want, rel=1e-12)
-        assert_rel(kernel.slot_sums(values, np.empty(shape)), want, rel=1e-12)
+        assert_rel(slot_sums(kernel, values), want, rel=1e-12)
+        assert_rel(kernel.slot_sums(values.copy(), np.full(shape, np.nan))[0], want, rel=1e-12)
 
     def test_ties_read_at_end_of_run(self):
         sums = dominance_sums(np.array([1.0, 10.0, 100.0, 1000.0]), np.array([2.0, 1.0, 2.0, 3.0]))
@@ -623,6 +632,20 @@ def threaded_pass(monkeypatch, a, m, seed, rows, cores):
     return serial, reps, blocks, idents
 
 
+def fresh_square_sums(a, u):
+    """``a.square_sums`` of the block ``u``, in new arrays."""
+    return (slot_sums(a.kernel, u * a.r) - (u @ a.v) @ a.g) ** 2 @ a.kernel.weights
+
+
+def fresh_replicates(a, m, seed, rows):
+    """``mc_pvalue``'s m replicates, drawn by hand and summed in new arrays
+    in blocks of ``rows``."""
+    n = a.shape[0]
+    draws = np.array([np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(j,))).standard_normal(n)
+                      for j in range(m)])
+    return np.concatenate([fresh_square_sums(a, draws[lo:lo + rows]) for lo in range(0, m, rows)]) / (n * n)
+
+
 class TestThreadedPass:
     """The multiplier pass cut into one span of whole blocks per core gives
     the serial pass's replicates, bit for bit."""
@@ -707,22 +730,30 @@ class TestThreadedPass:
         # replicates on one and two spans, bit for bit against each block's
         # (slot_sums(u * r) - (u @ v) @ G)^2 @ weights in new arrays
         a, _ = random_operator(np.random.default_rng(n), n, 1, "tied")
-        kernel, m, seed = a.kernel, 3 * self.ROWS - 2, 48
-
-        def fresh(u):
-            return (kernel.slot_sums(u * a.r) - (u @ a.v) @ a.g) ** 2 @ kernel.weights
-
+        m, seed = 3 * self.ROWS - 2, 48
         u = np.random.default_rng(49).standard_normal((self.ROWS, n))
-        np.testing.assert_array_equal(a.square_sums(u.copy(), np.empty_like(u)), fresh(u))
+        np.testing.assert_array_equal(a.square_sums(u.copy(), np.empty_like(u)), fresh_square_sums(a, u))
         monkeypatch.setattr(lackfit, "CACHE_ELEMENTS", n * self.ROWS)
         monkeypatch.setattr(lackfit, "THREAD_CROSSOVER", 1)
         monkeypatch.setattr(lackfit, "cores", lambda: spans)
-        assert min(kernel.threads, 3) == spans
+        assert min(a.kernel.threads, 3) == spans
         _, reps = mc_pvalue(0.0, a, m, seed)
-        draws = np.array([np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(j,))).standard_normal(n)
-                          for j in range(m)])
-        want = np.concatenate([fresh(draws[lo:lo + self.ROWS]) for lo in range(0, m, self.ROWS)])
-        np.testing.assert_array_equal(reps, want / (n * n))
+        np.testing.assert_array_equal(reps, fresh_replicates(a, m, seed, self.ROWS))
+
+    @pytest.mark.parametrize("case", ["ex1", "ex5c3"])  # the sorted kernel, a block kernel
+    def test_one_span_starts_no_thread(self, monkeypatch, case):
+        _, fit, proj = fitted_instance(case, 60, 0.4, 50)
+        a = rho_matrix(fit, influence_vectors(fit), proj)
+        monkeypatch.setattr(lackfit, "cores", lambda: 4)
+        assert a.kernel.threads == 1
+        monkeypatch.setattr(lackfit, "CACHE_ELEMENTS", 60 * self.ROWS)
+
+        def refuse(thread):
+            raise AssertionError(f"a pass of one span started {thread.name}")
+
+        monkeypatch.setattr(threading.Thread, "start", refuse)
+        _, reps = mc_pvalue(0.0, a, 3 * self.ROWS - 2, 51)
+        np.testing.assert_array_equal(reps, fresh_replicates(a, 3 * self.ROWS - 2, 51, self.ROWS))
 
     def test_runs_without_an_affinity_call(self, monkeypatch):
         # macOS and Windows have no os.sched_getaffinity
@@ -883,6 +914,52 @@ def degenerate_dataset(kind, n, rng):
         rows = rng.integers(0, max(1, n // 3), n)
         y, x, w = y[rows], x[rows], w[rows]
     return Dataset(y=y, x=x, w=w)
+
+
+class TestMemoryRefusal:
+    """A Monte Carlo size whose replicates alone exceed the memory this
+    process can use is refused before any work, naming both sizes."""
+
+    def test_limit_is_eight_bytes_a_replicate(self, monkeypatch):
+        a, _ = random_operator(np.random.default_rng(12), 40, 1, "random")
+        monkeypatch.setattr(lackfit, "_memory_bytes", lambda: 8007)
+        lackfit.check_settings(1000, 0.05, 1)  # 8000 bytes: just below the limit
+        message = r"^1001 replicates need 8,008 bytes for their values alone, more than the 8,007 bytes"
+        with pytest.raises(DataError, match=message):
+            lackfit.check_settings(1001, 0.05, 1)
+        with pytest.raises(DataError, match=message):
+            mc_pvalue(0.5, a, 1001, 1)
+
+    def test_unreadable_memory_skips_the_check(self, monkeypatch):
+        monkeypatch.setattr(lackfit, "_memory_bytes", lambda: None)
+        lackfit.check_settings(10**11, 0.05, 1)
+
+    def test_memory_is_the_smaller_readable_size(self, monkeypatch):
+        meminfo = "MemTotal:        4000 kB\nMemAvailable:    3000 kB\n"
+        monkeypatch.setattr(os, "sysconf", {"SC_PHYS_PAGES": 1000, "SC_PAGE_SIZE": 4096}.__getitem__)
+        monkeypatch.setattr(lackfit, "open", lambda *args, **kwargs: io.StringIO(meminfo), raising=False)
+        assert lackfit._memory_bytes() == 3000 * 1024
+        meminfo = "MemAvailable:    9000 kB\n"
+        assert lackfit._memory_bytes() == 1000 * 4096
+
+        def unreadable(*args, **kwargs):
+            raise FileNotFoundError("/proc/meminfo")
+
+        monkeypatch.setattr(lackfit, "open", unreadable, raising=False)
+        assert lackfit._memory_bytes() == 1000 * 4096
+        monkeypatch.delattr(os, "sysconf")
+        assert lackfit._memory_bytes() is None
+
+    def test_boston_refused_before_the_basis(self, monkeypatch):
+        def fail(*args, **kwargs):
+            raise AssertionError("basis estimated before the Monte Carlo size was checked")
+
+        limit = lackfit._memory_bytes()
+        if limit is None or limit >= 8 * 10**11:
+            pytest.skip("no readable memory size below 800 GB")
+        monkeypatch.setattr(lackfit, "estimate_basis", fail)
+        with pytest.raises(DataError, match=f"need 800,000,000,000 bytes .* than the [0-9,]+ bytes of memory"):
+            run_test(load_boston(), "linear+w", m=10**11, seed=1)
 
 
 class TestDegenerateInputs:

@@ -5,6 +5,8 @@ from __future__ import annotations
 import dataclasses
 import logging
 import math
+import multiprocessing
+import re
 import threading
 from concurrent.futures import ProcessPoolExecutor
 
@@ -149,6 +151,37 @@ class TestPowerExperiment:
         parallel = power_experiment(designs, reps=6, mc_reps=25, alpha=0.05, seed=11, workers=2)
         assert serial.rows == parallel.rows
 
+    def test_one_pool_per_call(self, monkeypatch):
+        made = []
+
+        class Counted(ProcessPoolExecutor):
+            def __init__(self, *args, **kwargs):
+                made.append(args)
+                super().__init__(*args, **kwargs)
+
+        monkeypatch.setattr(simulate, "ProcessPoolExecutor", Counted)
+        designs = [design("ex1", 40, 0.0), design("ex1", 40, 0.8), design("ex3", 40, 0.0)]
+        pooled = power_experiment(designs, reps=3, mc_reps=20, alpha=0.05, seed=12, workers=2)
+        assert made == [(2,)]
+        serial = power_experiment(designs, reps=3, mc_reps=20, alpha=0.05, seed=12, workers=1)
+        assert pooled.rows == serial.rows and len(made) == 1
+
+    def test_failing_design_named_in_log(self, caplog, monkeypatch):
+        if multiprocessing.get_start_method() != "fork":
+            pytest.skip("pool workers see the patched test only when forked")
+
+        def failing(ds, *args, **kwargs):
+            if ds.n == 41:
+                raise RuntimeError("replicate broke")
+            return run_test(ds, *args, **kwargs)
+
+        monkeypatch.setattr(simulate, "run_test", failing)
+        designs = [design("ex1", 40, 0.0), design("ex1", 41, 0.5)]
+        with caplog.at_level(logging.ERROR, logger=simulate.logger.name):
+            with pytest.raises(RuntimeError, match="^replicate broke$"):
+                power_experiment(designs, 2, 20, 0.05, 1, workers=2)
+        assert [r.getMessage() for r in caplog.records] == ["replicate failed in case=ex1 n=41 a=0.5"]
+
     def test_threaded_pass_does_not_change_rows(self, monkeypatch):
         # with workers=1 every multiplier pass runs here, on two threads (a
         # new helper each pass); pool workers run theirs on one, whatever
@@ -192,6 +225,17 @@ class TestPowerExperiment:
         with caplog.at_level(logging.ERROR, logger=simulate.logger.name):
             with pytest.raises(ValueError, match=message):
                 power_experiment([design("ex1", 40, 0.0)], 2, mc_reps, alpha, 1, workers=1)
+        assert not [r for r in caplog.records if "replicate failed" in r.getMessage()]
+
+    def test_replicates_past_memory_named_before_any_replicate(self, caplog, monkeypatch):
+        def fail(*args, **kwargs):
+            raise AssertionError("data generated before the Monte Carlo size was checked")
+
+        monkeypatch.setattr(simulate, "generate", fail)
+        monkeypatch.setattr(lackfit, "_memory_bytes", lambda: 8007)
+        with caplog.at_level(logging.ERROR, logger=simulate.logger.name):
+            with pytest.raises(DataError, match="^1001 replicates need 8,008 bytes"):
+                power_experiment([design("ex1", 40, 0.0)], 2, 1001, 0.05, 1, workers=2)
         assert not [r for r in caplog.records if "replicate failed" in r.getMessage()]
 
     @pytest.mark.parametrize("mc_reps, seed, error, message", [
@@ -394,6 +438,16 @@ class TestExperimentSpec:
             "case = ex1\nn = 50\na = 0\nreps = 5\nmc_reps = 5\nalpha = 0.05\nseed = -3\n",
         )
         with pytest.raises(DataError, match="exp.txt: seed must be a non-negative integer, got -3"):
+            read_experiment_spec(path)
+
+    def test_replicates_past_memory_name_file_and_sizes(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(lackfit, "_memory_bytes", lambda: 16_000_000_000)
+        path = self._write(
+            tmp_path,
+            "case = ex1\nn = 50\na = 0\nreps = 5\nmc_reps = 100000000000\nalpha = 0.05\nseed = 1\n",
+        )
+        with pytest.raises(DataError, match=f"^{re.escape(str(path))}: 100000000000 replicates need "
+                                            "800,000,000,000 bytes .* than the 16,000,000,000 bytes"):
             read_experiment_spec(path)
 
     @pytest.mark.parametrize("key, value, message", [
