@@ -18,12 +18,6 @@ import numpy as np
 
 from .errors import DataError, SingularityError
 
-#: Column names of the bundled Boston housing table, in file order.
-BOSTON_COLUMNS = (
-    "CRIM", "ZN", "INDUS", "CHAS", "NOX", "RM", "AGE",
-    "DIS", "RAD", "TAX", "PTRATIO", "B", "LSTAT", "MEDV",
-)
-
 #: Eigenvalues of the covariance below this fraction of the largest are
 #: treated as zero and make the whitener undefined.
 EIGENVALUE_FLOOR = 1e-12
@@ -47,9 +41,14 @@ class Schema:
             raise DataError(f"schema assigns a column to more than one role: {names}")
 
 
-#: Roles of the raw Boston housing columns: MEDV is the response, the rest
-#: are read as index covariates until :func:`prepare_boston` assigns them.
-BOSTON_SCHEMA = Schema(y="MEDV", x=tuple(c for c in BOSTON_COLUMNS if c != "MEDV"))
+#: The housing analysis's columns of the bundled Boston table, by role: MEDV
+#: is the response, the 11 index predictors keep their file order, and CRIM is
+#: the plain covariate.  CHAS is not read, so its cells drop no row.
+BOSTON_SCHEMA = Schema(
+    y="MEDV",
+    x=("ZN", "INDUS", "NOX", "RM", "AGE", "DIS", "RAD", "TAX", "PTRATIO", "B", "LSTAT"),
+    w=("CRIM",),
+)
 
 
 def as_columns(name: str, values) -> np.ndarray:
@@ -69,7 +68,8 @@ class Dataset:
         y: response, shape ``(n,)``.
         x: index covariates, shape ``(n, p1)`` with ``p1 >= 1``.
         w: plain covariates, shape ``(n, p2)``; ``p2 == 0`` means "no W".
-        column_names: column roles, for reporting.
+        column_names: column roles, for reporting and for
+            :func:`prepare_boston`'s check.
         dropped_rows: rows rejected during loading (reporting only).
     """
 
@@ -216,44 +216,34 @@ def standardize(x: np.ndarray) -> tuple[np.ndarray, Standardization]:
 
 
 def prepare_boston(raw: Dataset) -> Dataset:
-    """Build the housing-analysis dataset from the raw 14-column table.
+    """Transform the columns :data:`BOSTON_SCHEMA` reads into the housing analysis.
 
-    The response becomes ``log(MEDV)``, ``CRIM`` is used as the plain
-    covariate, ``CHAS`` is discarded, and the remaining 11 predictors form
-    the index block.  All predictors (including CRIM) are standardized
-    column-wise to mean 0, variance 1; the response is only log-transformed.
+    The response becomes ``log(MEDV)``; each index predictor and CRIM is
+    standardized to mean 0 and sample variance 1, column by column, in the
+    schema's order.  Rows and ``dropped_rows`` pass through unchanged.
+
+    Raises:
+        DataError: ``raw`` was not read with :data:`BOSTON_SCHEMA`, a MEDV
+            value is not positive (naming its row), or a predictor is
+            constant (naming it).
     """
-    if raw.column_names is None:
-        raise DataError("raw dataset carries no column names")
-    names = [raw.column_names.y, *raw.column_names.x, *raw.column_names.w]
-    missing = [c for c in BOSTON_COLUMNS if c not in names]
-    if missing:
-        raise DataError(f"missing column(s): {', '.join(missing)}")
+    if raw.column_names != BOSTON_SCHEMA:
+        raise DataError(f"prepare_boston needs BOSTON_SCHEMA's columns, got {raw.column_names}")
+    if np.any(raw.y <= 0):
+        bad = int(np.argmax(raw.y <= 0))
+        raise DataError(f"MEDV must be positive to take logs; row {bad} has {raw.y[bad]}")
 
-    table = np.column_stack([raw.y.reshape(-1, 1), raw.x, raw.w])
-
-    def col(name: str) -> np.ndarray:
-        return table[:, names.index(name)]
-
-    medv = col("MEDV")
-    if np.any(medv <= 0):
-        bad = int(np.argmax(medv <= 0))
-        raise DataError(f"MEDV must be positive to take logs; row {bad} has {medv[bad]}")
-    y = np.log(medv)
-
-    def scaled(name: str) -> np.ndarray:
-        c = col(name)
+    def scaled(name: str, c: np.ndarray) -> np.ndarray:
         sd = c.std(ddof=1)
         if sd == 0:
             raise DataError(f"predictor {name} is constant, cannot standardize")
         return (c - c.mean()) / sd
 
-    x_names = tuple(c for c in BOSTON_COLUMNS if c not in ("MEDV", "CRIM", "CHAS"))
-    x = np.column_stack([scaled(c) for c in x_names])
-    w = scaled("CRIM").reshape(-1, 1)
+    x = np.column_stack([scaled(name, c) for name, c in zip(BOSTON_SCHEMA.x, raw.x.T)])
+    w = scaled("CRIM", raw.w[:, 0]).reshape(-1, 1)
     return Dataset(
-        y=y, x=x, w=w,
-        column_names=Schema(y="log(MEDV)", x=x_names, w=("CRIM",)),
+        y=np.log(raw.y), x=x, w=w,
+        column_names=Schema(y="log(MEDV)", x=BOSTON_SCHEMA.x, w=BOSTON_SCHEMA.w),
         dropped_rows=raw.dropped_rows,
     )
 

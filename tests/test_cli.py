@@ -15,6 +15,7 @@ import pytest
 import pdrtest
 from pdrtest import cli, design, generate, lackfit
 from pdrtest.cli import EXIT_DATA, EXIT_IO, EXIT_NUMERIC, EXIT_OK, main
+from pdrtest.dataset import BOSTON_SCHEMA, boston_path, load_csv
 
 
 def write_dataset_csv(path, ds):
@@ -192,6 +193,33 @@ class TestCmdDim:
         assert record["q_hat"] == 2
         assert len(record["eigenvalues"]) == 11
         assert len(record["ridge_ratios"]) == 10
+
+    def test_preset_ignores_cells_it_does_not_read(self, tmp_path, capsys):
+        # CHAS is not one of the preset's columns, so a missing CHAS cell
+        # drops no row: the copy gives the bundled table's data and record
+        with open(boston_path(), newline="") as fh:
+            rows = list(csv.reader(fh))
+        chas = rows[0].index("CHAS")
+        for i in (5, 100, 300):
+            rows[i][chas] = "NA"
+        path = tmp_path / "chas_na.csv"
+        with open(path, "w", newline="") as fh:
+            csv.writer(fh).writerows(rows)
+        got, want = load_csv(path, BOSTON_SCHEMA), load_csv(boston_path(), BOSTON_SCHEMA)
+        assert (got.n, got.dropped_rows) == (506, 0)
+        for name in ("y", "x", "w"):
+            np.testing.assert_array_equal(getattr(got, name), getattr(want, name))
+        records = []
+        for data in ([], ["--data", str(path)]):
+            assert main(["dim", "--preset", "boston", *data, "--format", "json"]) == EXIT_OK
+            captured = capsys.readouterr()
+            assert captured.err == ""
+            records.append(json.loads(captured.out))
+        assert records[1]["config"]["n"] == 506
+        assert records[1]["config"]["dropped_rows"] == 0
+        for record in records:
+            del record["config"]["data"]
+        assert records[0] == records[1]
 
     def test_null_simulated_file_gives_one(self, ex1_file, capsys):
         assert main(["dim", "--data", ex1_file, "--y", "y", "--x", "x1,x2,x3,x4",

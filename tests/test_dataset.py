@@ -3,13 +3,14 @@
 from __future__ import annotations
 
 import codecs
+import csv
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 from pdrtest import DataError, Dataset, Schema, SingularityError, load_csv
-from pdrtest.dataset import BOSTON_COLUMNS, BOSTON_SCHEMA, boston_path, prepare_boston, standardize
+from pdrtest.dataset import BOSTON_SCHEMA, boston_path, prepare_boston, standardize
 
 
 class TestLoadCsv:
@@ -41,8 +42,7 @@ class TestLoadCsv:
         assert (ds.n, ds.dropped_rows) == (3, 1)
 
     def test_boston_schema_dimensions(self, write_csv):
-        x_names = tuple(c for c in BOSTON_COLUMNS if c not in ("MEDV", "CRIM", "CHAS"))
-        ds = load_csv(boston_path(), Schema(y="MEDV", x=x_names, w=("CRIM",)))
+        ds = load_csv(boston_path(), BOSTON_SCHEMA)
         assert (ds.n, ds.p1, ds.p2) == (506, 11, 1)
 
     def test_byte_order_mark_ignored(self, write_csv, tmp_path):
@@ -193,14 +193,14 @@ class TestPrepareBoston:
         np.testing.assert_allclose(boston.w.std(axis=0, ddof=1), [1.0], atol=1e-10)
 
     def _raw(self, medv):
+        # a dataset as load_csv reads it with BOSTON_SCHEMA
         rng = np.random.default_rng(4)
         n = len(medv)
-        others = tuple(c for c in BOSTON_COLUMNS if c != "MEDV")
         return Dataset(
             y=np.asarray(medv, dtype=float),
-            x=rng.standard_normal((n, 13)),
-            w=None,
-            column_names=Schema(y="MEDV", x=others),
+            x=rng.standard_normal((n, len(BOSTON_SCHEMA.x))),
+            w=rng.standard_normal((n, 1)),
+            column_names=BOSTON_SCHEMA,
         )
 
     def test_unit_medv_gives_zero_response(self):
@@ -210,10 +210,31 @@ class TestPrepareBoston:
     def test_nonpositive_medv_rejected(self):
         medv = [1.0] * 10
         medv[4] = 0.0
-        with pytest.raises(DataError, match="MEDV"):
+        with pytest.raises(DataError, match="MEDV must be positive to take logs; row 4 has 0.0"):
             prepare_boston(self._raw(medv))
 
-    def test_missing_column_rejected(self):
+    def test_constant_predictor_named(self):
+        raw = self._raw([1.0] * 10)
+        raw.x[:, BOSTON_SCHEMA.x.index("RM")] = 6.0
+        with pytest.raises(DataError, match="predictor RM is constant"):
+            prepare_boston(raw)
+        raw = self._raw([1.0] * 10)
+        raw.w[:] = 0.5
+        with pytest.raises(DataError, match="predictor CRIM is constant"):
+            prepare_boston(raw)
+
+    def test_missing_column_rejected(self, tmp_path):
+        # the table without LSTAT: load_csv refuses it before prepare_boston runs
+        with open(boston_path(), newline="") as fh:
+            rows = list(csv.reader(fh))
+        drop = rows[0].index("LSTAT")
+        path = tmp_path / "no_lstat.csv"
+        with open(path, "w", newline="") as fh:
+            csv.writer(fh).writerows(row[:drop] + row[drop + 1:] for row in rows)
+        with pytest.raises(DataError, match="column.s. not in header: LSTAT"):
+            prepare_boston(load_csv(path, BOSTON_SCHEMA))
+
+    def test_other_schema_rejected(self):
         rng = np.random.default_rng(5)
         raw = Dataset(
             y=rng.uniform(1, 2, size=10),
@@ -221,5 +242,5 @@ class TestPrepareBoston:
             w=None,
             column_names=Schema(y="MEDV", x=("CRIM", "ZN", "INDUS")),
         )
-        with pytest.raises(DataError, match="missing column"):
+        with pytest.raises(DataError, match="needs BOSTON_SCHEMA's columns"):
             prepare_boston(raw)

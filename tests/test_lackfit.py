@@ -575,15 +575,20 @@ class TestMcPvalue:
         np.testing.assert_array_equal(r1, r2)
         assert not np.array_equal(r1, r3)
 
-    def test_replicate_depends_only_on_seed_and_index(self):
-        a, dense = random_operator(np.random.default_rng(22), 30, 1, "random", p2=1)
-        _, r10 = mc_pvalue(0.5, a, m=10, seed=4)
-        _, r25 = mc_pvalue(0.5, a, m=25, seed=4)
+    # one, two and three 32-bit words of seed: simulate hands run_test 64-bit seeds
+    @pytest.mark.parametrize("seed", [4, 2**32, 2**64 - 1, 2**64 + 5])
+    def test_replicate_depends_only_on_seed_and_index(self, seed):
+        with pytest.MonkeyPatch.context() as mp:
+            blocks_of(mp, 30, 8)  # both runs cross a block boundary
+            a, dense = random_operator(np.random.default_rng(22), 30, 1, "random", p2=1)
+            assert a.kernel.rows == 8
+            _, r10 = mc_pvalue(0.5, a, m=10, seed=seed)
+            _, r25 = mc_pvalue(0.5, a, m=25, seed=seed)
         np.testing.assert_allclose(r10, r25[:10], rtol=1e-12)
-        children = np.random.SeedSequence(4).spawn(25)
-        for j in range(10):
+        children = np.random.SeedSequence(seed).spawn(25)
+        for j in range(25):
             u = np.random.default_rng(children[j]).standard_normal(30)
-            assert r10[j] == pytest.approx(mc_replicate(dense, u), rel=1e-12)
+            assert r25[j] == pytest.approx(mc_replicate(dense, u), rel=1e-12)
 
     @given(st.floats(1e-6, 1e6))
     @settings(max_examples=100, deadline=None)
