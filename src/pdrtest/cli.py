@@ -39,12 +39,13 @@ def _resolve_seed(arg: int | None) -> int:
     return secrets.randbelow(2**63) if arg is None else arg
 
 
-def _load_dataset(args) -> Dataset:
+def _load_dataset(args) -> tuple[Dataset, str]:
+    """The dataset the flags name, and the path it was read from."""
     if args.preset == "boston":
         given = [f"--{name}" for name in ("y", "x", "w") if getattr(args, name)]
         if given:
             raise DataError(f"--preset boston sets its own columns; remove {', '.join(given)}")
-        path = args.data if args.data else boston_path()
+        path = args.data or boston_path()
         ds = prepare_boston(load_csv(path, BOSTON_SCHEMA))
     else:
         if not args.data:
@@ -52,27 +53,24 @@ def _load_dataset(args) -> Dataset:
         if not args.y or not args.x:
             raise DataError("--y and --x are required without a preset")
         schema = Schema(y=args.y, x=_columns(args.x), w=_columns(args.w))
-        ds = load_csv(args.data, schema)
+        path = args.data
+        ds = load_csv(path, schema)
     if ds.dropped_rows:
         print(f"note: {ds.dropped_rows} row(s) dropped (missing or non-numeric cells)",
               file=sys.stderr)
-    return ds
+    return ds, str(path)
 
 
-def _config(args, ds: Dataset) -> dict:
+def _config(args, ds: Dataset, path: str) -> dict:
     """Where the data came from: the values of a report that no record holds."""
     names = ds.column_names
-    if args.data:
-        data_path = str(args.data)
-    else:
-        data_path = str(boston_path()) if args.preset else ""
     return {
         "command": args.command,
-        "data": data_path,
+        "data": path,
         "preset": args.preset,
-        "y": names.y if names else None,
-        "x": list(names.x) if names else None,
-        "w": list(names.w) if names else None,
+        "y": names.y,
+        "x": list(names.x),
+        "w": list(names.w),
         "n": ds.n,
         "dropped_rows": ds.dropped_rows,
     }
@@ -89,10 +87,10 @@ def _render(record: dict, fmt: str) -> str:
     )
 
 
-def _emit_report(record: dict, args, ds: Dataset) -> int:
+def _emit_report(record: dict, args, ds: Dataset, path: str) -> int:
     """Render the record, with the data provenance under ``config``, to
     ``--out`` or stdout."""
-    text = _render({**record, "config": _config(args, ds)}, args.format)
+    text = _render({**record, "config": _config(args, ds, path)}, args.format)
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:
             fh.write(text)
@@ -102,17 +100,17 @@ def _emit_report(record: dict, args, ds: Dataset) -> int:
 
 
 def cmd_test(args) -> int:
-    ds = _load_dataset(args)
+    ds, path = _load_dataset(args)
     seed = _resolve_seed(args.seed)
     report = run_test(
         ds, args.family, m=args.mc_reps, c_n=args.cn, seed=seed, alpha=args.alpha
     )
-    return _emit_report(report.to_record(), args, ds)
+    return _emit_report(report.to_record(), args, ds, path)
 
 
 def cmd_dim(args) -> int:
-    ds = _load_dataset(args)
-    return _emit_report(estimate_basis(ds, args.cn).to_record(), args, ds)
+    ds, path = _load_dataset(args)
+    return _emit_report(estimate_basis(ds, args.cn).to_record(), args, ds, path)
 
 
 def cmd_simulate(args) -> int:
@@ -168,7 +166,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_sim.add_argument("--spec", required=True, help="experiment specification file")
     p_sim.add_argument("--out", help="output path (overrides 'out' from the experiment file)")
     p_sim.add_argument("--format", choices=list(RENDERERS), default="csv")
-    p_sim.add_argument("--workers", type=int, default=None,
+    p_sim.add_argument("--workers", type=int, default=1,
                        help="worker processes (default 1)")
     p_sim.set_defaults(func=cmd_simulate)
     return parser
@@ -193,7 +191,7 @@ def main(argv: list[str] | None = None) -> int:
         print(f"error: out of memory: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
     except (ValueError, KeyError) as exc:
-        # DataError and configuration mistakes (bad alpha, zero replicates)
+        # DataError (every refused setting or input), a family or --cn that does not fit
         msg = exc.args[0] if exc.args else exc
         print(f"error: {msg}", file=sys.stderr)
         return EXIT_DATA

@@ -484,28 +484,31 @@ def _memory_bytes() -> int | None:
     return min((size for size in sizes if size > 0), default=None)
 
 
-def _check_draws(m: int, seed: int) -> None:
+def _check_draws(m: int, seed: int) -> int | None:
     if not _integer(seed) or seed < 0:
         raise DataError(f"seed must be a non-negative integer, got {seed}")
     if not _integer(m):
-        raise ValueError(f"the number of replicates must be an integer, got {m}")
+        raise DataError(f"the number of replicates must be an integer, got {m}")
     if m < 1:
-        raise ValueError(f"need at least one replicate, got {m}")
+        raise DataError(f"need at least one replicate, got {m}")
     limit, need = _memory_bytes(), 8 * int(m)
     if limit is not None and need > limit:
         raise DataError(f"{m} replicates need {need:,} bytes for their values alone, "
                         f"more than the {limit:,} bytes of memory this process can use")
+    return limit
 
 
-def check_settings(m: int, alpha: float, seed: int) -> None:
-    """Reject a Monte Carlo size, level or seed the test cannot use, before
-    any work is done.  ``m`` must be a positive integer and ``seed`` a
-    non-negative one, Python's or numpy's; a float or a bool is refused
-    even when it is integral, and the ``m`` replicates alone, 8 m bytes,
-    must fit in the memory that :func:`_memory_bytes` reads."""
+def check_settings(m: int, alpha: float, seed: int) -> int | None:
+    """Refuse a Monte Carlo size, level or seed the test cannot use, before
+    any work is done, with a :class:`DataError` (exit 3 from the CLI).
+    ``m`` must be a positive integer and ``seed`` a non-negative one,
+    Python's or numpy's; a float or a bool is refused even when it is
+    integral, and the ``m`` replicates alone, 8 m bytes, must fit in the
+    memory that :func:`_memory_bytes` reads.  Returns that memory size, or
+    None if it cannot be read."""
     if not 0.0 < alpha < 1.0:
-        raise ValueError(f"alpha must be in (0, 1), got {alpha}")
-    _check_draws(m, seed)
+        raise DataError(f"alpha must be in (0, 1), got {alpha}")
+    return _check_draws(m, seed)
 
 
 def run_test(

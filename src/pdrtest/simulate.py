@@ -25,7 +25,7 @@ import numpy as np
 
 from .dataset import Dataset, Schema
 from .errors import DataError
-from .lackfit import _integer, check_settings, run_test
+from .lackfit import BLOCK_ELEMENTS, _integer, check_settings, run_test
 
 logger = logging.getLogger(__name__)
 
@@ -53,11 +53,13 @@ class SimDesign:
     def __post_init__(self):
         for name, b in (("beta0", self.beta0), ("beta1", self.beta1)):
             if b is not None and abs(np.linalg.norm(b) - 1.0) > 1e-12:
-                raise ValueError(f"{name} must have unit norm")
+                raise DataError(f"{name} must have unit norm")
+        if not _integer(self.n):
+            raise DataError(f"n must be an integer, got {self.n!r}")
         if self.n < 3:
-            raise ValueError(f"n must be at least 3, got {self.n}")
+            raise DataError(f"n must be at least 3, got {self.n}")
         if not np.isfinite(self.a):
-            raise ValueError(f"departure a must be finite, got {self.a}")
+            raise DataError(f"departure a must be finite, got {self.a}")
 
 
 _CASE_TABLE = {
@@ -160,36 +162,65 @@ def _one_replicate(args) -> tuple[bool, bool]:
     return report.reject, not report.fit.converged
 
 
+def _check_experiment(designs: list[SimDesign], reps: int, mc_reps: int, alpha: float,
+                      seed: int, workers: int) -> None:
+    """Refuse, with a :class:`DataError`, a replicate or worker count that is
+    not a positive integer, what :func:`check_settings` refuses, and
+    ``workers`` replicates of a design past the memory this process can use."""
+    if not _integer(reps):
+        raise DataError(f"reps must be an integer, got {reps}")
+    if reps < 1:
+        raise DataError(f"reps must be at least 1, got {reps}")
+    if not _integer(workers):
+        raise DataError(f"workers must be an integer, got {workers}")
+    if workers < 1:
+        raise DataError(f"workers must be at least 1, got {workers}")
+    limit = check_settings(mc_reps, alpha, seed)
+    if limit is None or not designs:
+        return
+    # A lower bound on one replicate's memory, from tracemalloc peaks of
+    # generate and run_test at m = 300.  Without W the peak was 5.2-7.4
+    # times the data's n (p1 + p2 + 2) 8 bytes at n = 8000 to 200 000 (ex1,
+    # ex3, ex4).  With one W column it was 52-113 times the data at n = 500
+    # to 8000 (ex5c1, ex5c3), most of it dense indicator blocks: 1.1-3.8
+    # blocks of min(n^2, BLOCK_ELEMENTS) float64 over 7 times the data.  So
+    # a replicate holds at least 4 times its data, one block with W, and
+    # its m replicates, and a grid is refused only when it cannot run.
+    def replicate_bytes(d: SimDesign) -> int:
+        n = int(d.n)
+        block = min(n * n, BLOCK_ELEMENTS) if d.p2 else 0
+        return 8 * (4 * n * (d.p1 + d.p2 + 2) + block + int(mc_reps))
+
+    big = max(designs, key=replicate_bytes)
+    need = int(workers) * replicate_bytes(big)
+    if need > limit:
+        raise DataError(f"replicates of {big.case_id} at n={big.n} on {workers} worker(s) need "
+                        f"at least {need:,} bytes, more than the {limit:,} bytes of memory "
+                        "this process can use")
+
+
 def power_experiment(
     designs: list[SimDesign],
     reps: int,
     mc_reps: int,
     alpha: float,
     seed: int,
-    workers: int | None = None,
+    workers: int = 1,
 ) -> PowerTable:
     """Rejection frequency of the test over fresh datasets, per grid cell.
 
-    Deterministic given ``seed`` regardless of ``workers`` (default 1);
-    more than one worker runs the replicates of every design in one
-    process pool, made once per call.  Failed replicates are logged and
-    re-raised, non-converged fits only counted and logged.  A bad level,
-    Monte Carlo size, seed, replicate or worker count is named before any
-    replicate runs; the counts, the size and the seed must be integers, as
-    :func:`check_settings` requires.
+    Deterministic given ``seed`` regardless of ``workers``; more than one
+    worker runs the replicates of every design in one process pool, made
+    once per call.  Failed replicates are logged and re-raised,
+    non-converged fits only counted and logged.  A bad setting is a
+    :class:`DataError` (exit 3 from the CLI), raised before any replicate
+    runs: the counts, the Monte Carlo size and the seed must be integers,
+    as :func:`check_settings` requires, and ``workers`` replicates of the
+    largest design must fit in memory.
     """
-    if not _integer(reps):
-        raise ValueError(f"reps must be an integer, got {reps}")
-    if reps < 1:
-        raise ValueError(f"reps must be at least 1, got {reps}")
-    check_settings(mc_reps, alpha, seed)
-    if workers is not None and not _integer(workers):
-        raise DataError(f"workers must be an integer, got {workers}")
-    if workers is not None and workers < 1:
-        raise DataError(f"workers must be at least 1, got {workers}")
-    n_workers = 1 if workers is None else int(workers)
+    _check_experiment(designs, reps, mc_reps, alpha, seed, workers)
     rows: list[PowerRow] = []
-    with ProcessPoolExecutor(n_workers) if n_workers > 1 else contextlib.nullcontext() as pool:
+    with ProcessPoolExecutor(workers) if workers > 1 else contextlib.nullcontext() as pool:
         for gi, dsg in enumerate(designs):
             tasks = [(dsg, gi, r, seed, mc_reps, alpha) for r in range(reps)]
             try:
@@ -354,20 +385,11 @@ def read_experiment_spec(path: str | Path) -> ExperimentSpec:
             seed=int(entries["seed"]),
             out=entries.get("out"),
         )
-    except ValueError as exc:
-        raise DataError(f"{path}: {exc}") from None
-    try:
-        spec.designs()  # design() checks the case, each SimDesign its n and a
+        _check_experiment(spec.designs(), spec.reps, spec.mc_reps, spec.alpha, spec.seed, 1)
     except ValueError as exc:
         raise DataError(f"{path}: {exc}") from None
     for key, values in (("n", spec.n), ("a", spec.a)):
         repeated = sorted({v for v in values if values.count(v) > 1})
         if repeated:
             raise DataError(f"{path}: repeated {key} value(s): {', '.join(map(str, repeated))}")
-    if spec.reps < 1:
-        raise DataError(f"{path}: reps must be positive, got {spec.reps}")
-    try:
-        check_settings(spec.mc_reps, spec.alpha, spec.seed)
-    except ValueError as exc:
-        raise DataError(f"{path}: {exc}") from None
     return spec

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import csv
 import json
+import logging
 import os
 import subprocess
 import sys
@@ -13,7 +14,7 @@ import numpy as np
 import pytest
 
 import pdrtest
-from pdrtest import cli, design, generate, lackfit
+from pdrtest import cli, design, generate, lackfit, simulate
 from pdrtest.cli import EXIT_DATA, EXIT_IO, EXIT_NUMERIC, EXIT_OK, main
 from pdrtest.dataset import BOSTON_SCHEMA, boston_path, load_csv
 
@@ -85,6 +86,13 @@ class TestCmdTest:
                      "--mc-reps", "50", "--seed", "2"]) == EXIT_OK
         test = json.loads(capsys.readouterr().out)
         dim_config, test_config = dim.pop("config"), test.pop("config")
+        if source == "boston":
+            names = {"data": str(boston_path()), "preset": "boston", "y": "log(MEDV)",
+                     "x": list(BOSTON_SCHEMA.x), "w": list(BOSTON_SCHEMA.w), "n": 506}
+        else:
+            names = {"data": ex1_file, "preset": None, "y": "y",
+                     "x": ["x1", "x2", "x3", "x4"], "w": [], "n": 400}
+        assert test_config == {"command": "test", **names, "dropped_rows": 0}
         assert test.items() >= dim.items()
         assert set(test) - set(dim) == {
             "t_n", "p_hat", "mc_se", "reject", "m", "seed", "alpha", "family", "converged", "mc"}
@@ -217,6 +225,7 @@ class TestCmdDim:
             records.append(json.loads(captured.out))
         assert records[1]["config"]["n"] == 506
         assert records[1]["config"]["dropped_rows"] == 0
+        assert [r["config"]["data"] for r in records] == [str(boston_path()), str(path)]
         for record in records:
             del record["config"]["data"]
         assert records[0] == records[1]
@@ -312,6 +321,23 @@ class TestCmdSimulate:
         spec = self._spec(tmp_path, **overrides)
         assert main(["simulate", "--spec", spec]) == EXIT_DATA
         assert f"{spec}: {message}" in capsys.readouterr().err
+
+    def test_grid_past_memory_refused_before_any_replicate(self, tmp_path, capsys, caplog,
+                                                          monkeypatch):
+        def fail(*args, **kwargs):
+            raise AssertionError("data generated before the grid's memory was checked")
+
+        monkeypatch.setattr(simulate, "generate", fail)
+        monkeypatch.setattr(lackfit, "_memory_bytes", lambda: 16_000_000_000)
+        spec = self._spec(tmp_path, case="ex3", n="100000000000", a="0")
+        with caplog.at_level(logging.ERROR):
+            assert main(["simulate", "--spec", spec]) == EXIT_DATA
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (f"error: {spec}: replicates of ex3 at n=100000000000 on 1 "
+                                "worker(s) need at least 32,000,000,000,200 bytes, more than "
+                                "the 16,000,000,000 bytes of memory this process can use\n")
+        assert not [r for r in caplog.records if "replicate failed" in r.getMessage()]
 
     @pytest.mark.parametrize("workers", ["0", "-2"])
     def test_workers_below_one_is_config_error(self, workers, tmp_path, capsys):

@@ -78,8 +78,24 @@ class TestDesigns:
 
     @pytest.mark.parametrize("a", [np.nan, np.inf, -np.inf])
     def test_non_finite_departure_rejected(self, a):
-        with pytest.raises(ValueError, match=f"departure a must be finite, got {a}"):
+        with pytest.raises(DataError, match=f"departure a must be finite, got {a}"):
             design("ex1", 100, a)
+
+    @pytest.mark.parametrize("n, message", [
+        (2, r"^n must be at least 3, got 2$"),
+        (50.0, r"^n must be an integer, got 50.0$"),
+        (True, r"^n must be an integer, got True$"),
+    ])
+    def test_bad_size_named_before_any_replicate(self, n, message, monkeypatch):
+        def fail(*args, **kwargs):
+            raise AssertionError("data generated before the size was checked")
+
+        monkeypatch.setattr(simulate, "generate", fail)
+        with pytest.raises(DataError, match=message):
+            power_experiment([design("ex1", n, 0.0)], 2, 10, 0.05, 1)
+
+    def test_numpy_integer_size_accepted(self):
+        assert design("ex1", np.int64(50), 0.0).n == 50
 
     @pytest.mark.parametrize("case", ["ex1", "ex2", "ex3", "ex4", "ex5c1", "ex5c2", "ex5c3", "ex5c4"])
     def test_directions_are_unit_norm(self, case):
@@ -223,7 +239,7 @@ class TestPowerExperiment:
 
         monkeypatch.setattr(simulate, "generate", fail)
         with caplog.at_level(logging.ERROR, logger=simulate.logger.name):
-            with pytest.raises(ValueError, match=message):
+            with pytest.raises(DataError, match=message):
                 power_experiment([design("ex1", 40, 0.0)], 2, mc_reps, alpha, 1, workers=1)
         assert not [r for r in caplog.records if "replicate failed" in r.getMessage()]
 
@@ -238,38 +254,40 @@ class TestPowerExperiment:
                 power_experiment([design("ex1", 40, 0.0)], 2, 1001, 0.05, 1, workers=2)
         assert not [r for r in caplog.records if "replicate failed" in r.getMessage()]
 
-    @pytest.mark.parametrize("mc_reps, seed, error, message", [
-        (10, 1.5, DataError, r"^seed must be a non-negative integer, got 1.5$"),
-        (10, 2.0, DataError, r"^seed must be a non-negative integer, got 2.0$"),
-        (10, True, DataError, r"^seed must be a non-negative integer, got True$"),
-        (2.5, 1, ValueError, r"^the number of replicates must be an integer, got 2.5$"),
-        (10.0, 1, ValueError, r"^the number of replicates must be an integer, got 10.0$"),
+    @pytest.mark.parametrize("mc_reps, seed, message", [
+        (10, 1.5, r"^seed must be a non-negative integer, got 1.5$"),
+        (10, 2.0, r"^seed must be a non-negative integer, got 2.0$"),
+        (10, True, r"^seed must be a non-negative integer, got True$"),
+        (2.5, 1, r"^the number of replicates must be an integer, got 2.5$"),
+        (10.0, 1, r"^the number of replicates must be an integer, got 10.0$"),
     ])
     def test_non_integer_seed_or_mc_size_named_before_any_replicate(
-            self, mc_reps, seed, error, message, caplog, monkeypatch):
+            self, mc_reps, seed, message, caplog, monkeypatch):
         def fail(*args, **kwargs):
             raise AssertionError("data generated before the settings were checked")
 
         monkeypatch.setattr(simulate, "generate", fail)
         with caplog.at_level(logging.ERROR, logger=simulate.logger.name):
-            with pytest.raises(error, match=message):
+            with pytest.raises(DataError, match=message):
                 power_experiment([design("ex1", 40, 0.0)], 2, mc_reps, 0.05, seed, workers=1)
         assert not [r for r in caplog.records if "replicate failed" in r.getMessage()]
 
-    @pytest.mark.parametrize("reps, workers, error, message", [
-        (2.5, 1, ValueError, r"^reps must be an integer, got 2.5$"),
-        (2.0, 1, ValueError, r"^reps must be an integer, got 2.0$"),
-        (True, 1, ValueError, r"^reps must be an integer, got True$"),
-        (2, 2.5, DataError, r"^workers must be an integer, got 2.5$"),
-        (2, True, DataError, r"^workers must be an integer, got True$"),
+    @pytest.mark.parametrize("reps, workers, message", [
+        (2.5, 1, r"^reps must be an integer, got 2.5$"),
+        (2.0, 1, r"^reps must be an integer, got 2.0$"),
+        (True, 1, r"^reps must be an integer, got True$"),
+        (0, 1, r"^reps must be at least 1, got 0$"),
+        (2, 2.5, r"^workers must be an integer, got 2.5$"),
+        (2, True, r"^workers must be an integer, got True$"),
+        (2, None, r"^workers must be an integer, got None$"),
     ])
     def test_non_integer_reps_or_workers_named_before_any_replicate(
-            self, reps, workers, error, message, monkeypatch):
+            self, reps, workers, message, monkeypatch):
         def fail(*args, **kwargs):
             raise AssertionError("data generated before the counts were checked")
 
         monkeypatch.setattr(simulate, "generate", fail)
-        with pytest.raises(error, match=message):
+        with pytest.raises(DataError, match=message):
             power_experiment([design("ex1", 40, 0.0)], reps, 10, 0.05, 1, workers=workers)
 
     @pytest.mark.parametrize("workers", [0, -3])
@@ -280,6 +298,48 @@ class TestPowerExperiment:
         monkeypatch.setattr(simulate, "generate", fail)
         with pytest.raises(DataError, match=f"^workers must be at least 1, got {workers}$"):
             power_experiment([design("ex1", 40, 0.0)], 1, 10, 0.05, 1, workers=workers)
+
+    def test_grid_past_memory_named_before_any_replicate(self, caplog, monkeypatch):
+        def fail(*args, **kwargs):
+            raise AssertionError("data generated before the grid's memory was checked")
+
+        monkeypatch.setattr(simulate, "generate", fail)
+        monkeypatch.setattr(lackfit, "_memory_bytes", lambda: 16_000_000_000)
+        designs = [design("ex3", 100, 0.0), design("ex3", 10**11, 0.0)]
+        need = 2 * 8 * (4 * 10**11 * 10 + 10)
+        with caplog.at_level(logging.ERROR, logger=simulate.logger.name):
+            with pytest.raises(DataError, match=(
+                    rf"^replicates of ex3 at n=100000000000 on 2 worker\(s\) need at least "
+                    rf"{need:,} bytes, more than the 16,000,000,000 bytes of memory")):
+                power_experiment(designs, 2, 10, 0.05, 1, workers=2)
+        assert not [r for r in caplog.records if "replicate failed" in r.getMessage()]
+
+    # one replicate: 4 times the data's n (p1 + p2 + 2) float64, a dense
+    # indicator block of min(n^2, BLOCK_ELEMENTS) with W, and m replicates
+    @pytest.mark.parametrize("case, n, workers, need", [
+        ("ex3", 1000, 1, 8 * (4 * 1000 * 10 + 10)),
+        ("ex3", 1000, 2, 2 * 8 * (4 * 1000 * 10 + 10)),
+        ("ex5c3", 1000, 1, 8 * (4 * 1000 * 11 + 1000**2 + 10)),
+        ("ex5c3", 2000, 1, 8 * (4 * 2000 * 11 + lackfit.BLOCK_ELEMENTS + 10)),
+    ])
+    def test_memory_bound_at_its_boundary(self, case, n, workers, need, monkeypatch):
+        reads = []
+
+        def memory():
+            reads.append(1)
+            return limit
+
+        monkeypatch.setattr(lackfit, "_memory_bytes", memory)
+        designs = [design(case, 50, 0.0), design(case, n, 0.6)]
+        limit = need
+        simulate._check_experiment(designs, 2, 10, 0.05, 1, workers)
+        assert len(reads) == 1
+        limit = need - 1
+        with pytest.raises(DataError, match=f"^replicates of {case} at n={n} on {workers} "
+                                            rf"worker\(s\) need at least {need:,} bytes, "
+                                            f"more than the {need - 1:,} bytes"):
+            simulate._check_experiment(designs, 2, 10, 0.05, 1, workers)
+        assert len(reads) == 2
 
     def test_rate_is_exact_fraction(self):
         table = power_experiment([design("ex1", 60, 0.6)], reps=7, mc_reps=40, alpha=0.05, seed=12)
@@ -450,10 +510,22 @@ class TestExperimentSpec:
                                             "800,000,000,000 bytes .* than the 16,000,000,000 bytes"):
             read_experiment_spec(path)
 
+    def test_grid_past_memory_names_file_and_sizes(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(lackfit, "_memory_bytes", lambda: 16_000_000_000)
+        path = self._write(
+            tmp_path,
+            "case = ex3\nn = 100000000000\na = 0\nreps = 5\nmc_reps = 5\nalpha = 0.05\nseed = 1\n",
+        )
+        need = 8 * (4 * 10**11 * 10 + 5)
+        with pytest.raises(DataError, match=(
+                f"^{re.escape(str(path))}: replicates of ex3 at n=100000000000 on 1 "
+                rf"worker\(s\) need at least {need:,} bytes, more than the 16,000,000,000 bytes")):
+            read_experiment_spec(path)
+
     @pytest.mark.parametrize("key, value, message", [
         ("mc_reps", "0", "exp.txt: need at least one replicate, got 0"),
         ("alpha", "1.5", r"exp.txt: alpha must be in \(0, 1\), got 1.5"),
-        ("reps", "0", "exp.txt: reps must be positive, got 0"),
+        ("reps", "0", "exp.txt: reps must be at least 1, got 0"),
         ("a", "0, nan", "exp.txt: departure a must be finite, got nan"),
         ("a", "inf", "exp.txt: departure a must be finite, got inf"),
     ])
