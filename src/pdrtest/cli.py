@@ -19,7 +19,7 @@ from .dataset import BOSTON_SCHEMA, Dataset, Schema, boston_path, load_csv, prep
 from .errors import DataError, SingularityError
 from .lackfit import run_test
 from .sdr import estimate_basis
-from .simulate import RENDERERS, emit_table, power_experiment, read_experiment_spec
+from .simulate import RENDERERS, power_experiment, read_experiment_spec
 
 EXIT_OK = 0
 EXIT_IO = 2
@@ -39,8 +39,8 @@ def _resolve_seed(arg: int | None) -> int:
     return secrets.randbelow(2**63) if arg is None else arg
 
 
-def _load_dataset(args) -> tuple[Dataset, str]:
-    """The dataset the flags name, and the path it was read from."""
+def _load_dataset(args) -> tuple[Dataset, dict]:
+    """The dataset the flags name, and its report's ``config``."""
     if args.preset == "boston":
         given = [f"--{name}" for name in ("y", "x", "w") if getattr(args, name)]
         if given:
@@ -58,7 +58,7 @@ def _load_dataset(args) -> tuple[Dataset, str]:
     if ds.dropped_rows:
         print(f"note: {ds.dropped_rows} row(s) dropped (missing or non-numeric cells)",
               file=sys.stderr)
-    return ds, str(path)
+    return ds, _config(args, ds, str(path))
 
 
 def _config(args, ds: Dataset, path: str) -> dict:
@@ -87,30 +87,31 @@ def _render(record: dict, fmt: str) -> str:
     )
 
 
-def _emit_report(record: dict, args, ds: Dataset, path: str) -> int:
-    """Render the record, with the data provenance under ``config``, to
-    ``--out`` or stdout."""
-    text = _render({**record, "config": _config(args, ds, path)}, args.format)
-    if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
+def _write(text: str, out: str | None) -> None:
+    """Send a command's rendered output to the file ``out``, or to stdout
+    when there is none: the one place the package writes output."""
+    if out:
+        with open(out, "w", encoding="utf-8") as fh:
             fh.write(text)
     else:
         print(text, end="")
-    return EXIT_OK
 
 
 def cmd_test(args) -> int:
-    ds, path = _load_dataset(args)
+    ds, config = _load_dataset(args)
     seed = _resolve_seed(args.seed)
     report = run_test(
         ds, args.family, m=args.mc_reps, c_n=args.cn, seed=seed, alpha=args.alpha
     )
-    return _emit_report(report.to_record(), args, ds, path)
+    _write(_render({**report.to_record(), "config": config}, args.format), args.out)
+    return EXIT_OK
 
 
 def cmd_dim(args) -> int:
-    ds, path = _load_dataset(args)
-    return _emit_report(estimate_basis(ds, args.cn).to_record(), args, ds, path)
+    ds, config = _load_dataset(args)
+    record = estimate_basis(ds, args.cn).to_record()
+    _write(_render({**record, "config": config}, args.format), args.out)
+    return EXIT_OK
 
 
 def cmd_simulate(args) -> int:
@@ -120,11 +121,9 @@ def cmd_simulate(args) -> int:
         workers=args.workers,
     )
     out = args.out or spec.out
+    _write(RENDERERS[args.format](table), out)
     if out:
-        emit_table(table, out, format=args.format)
         print(f"wrote {len(table.rows)} row(s) to {out}")
-    else:
-        print(RENDERERS[args.format](table), end="")
     return EXIT_OK
 
 
@@ -190,10 +189,9 @@ def main(argv: list[str] | None = None) -> int:
         # numpy's message names the array it could not allocate
         print(f"error: out of memory: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
-    except (ValueError, KeyError) as exc:
-        # DataError (every refused setting or input), a family or --cn that does not fit
-        msg = exc.args[0] if exc.args else exc
-        print(f"error: {msg}", file=sys.stderr)
+    except ValueError as exc:
+        # DataError (every refused setting or input) and any other ValueError
+        print(f"error: {exc}", file=sys.stderr)
         return EXIT_DATA
 
 

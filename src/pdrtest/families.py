@@ -18,6 +18,7 @@ from typing import Callable
 import numpy as np
 
 from .dataset import as_columns
+from .errors import DataError
 
 MeanFn = Callable[[np.ndarray, np.ndarray, np.ndarray, np.ndarray], np.ndarray]
 GradFn = Callable[[np.ndarray, np.ndarray, np.ndarray, np.ndarray], np.ndarray]
@@ -127,7 +128,7 @@ def _linear(p1: int, p2: int) -> ModelFamily:
 
 def _linear_plus(p1: int, p2: int, label: str, f) -> ModelFamily:
     if p2 != 1:
-        raise ValueError(f"family {label!r} needs exactly one W column, got {p2}")
+        raise DataError(f"family {label!r} needs exactly one W column, got {p2}")
 
     def mean(x, w, beta, theta):
         return x @ beta + theta[0] * f(w[:, 0])
@@ -154,12 +155,14 @@ def register_family(name: str, factory: Callable[[int, int], ModelFamily]) -> No
 
 
 def get_family(name: str, p1: int, p2: int) -> ModelFamily:
-    """Instantiate a registered family for the given data dimensions."""
+    """Instantiate a registered family for the given data dimensions.  An
+    unknown name, or a W-column count the family cannot use, is a
+    :class:`DataError`."""
     try:
         factory = _REGISTRY[name]
     except KeyError:
         known = ", ".join(sorted(_REGISTRY))
-        raise KeyError(f"unknown family {name!r}; registered: {known}") from None
+        raise DataError(f"unknown family {name!r}; registered: {known}") from None
     return factory(p1, p2)
 
 

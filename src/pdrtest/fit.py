@@ -103,8 +103,8 @@ def nls_fit(
                 break
             damping *= 10.0
         if not accepted:
-            # no downhill step found: at a (numerical) stationary point
-            converged = stationary(jac, resid, grad)
+            # no downhill step found, and the point failed the stationarity
+            # test above: the fit is reported unconverged
             break
 
         rel_drop = (sse - trial_sse) / max(sse, np.finfo(float).tiny)

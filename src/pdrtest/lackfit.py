@@ -471,6 +471,11 @@ def _integer(k) -> bool:
     return isinstance(k, numbers.Integral) and not isinstance(k, bool)
 
 
+def _real(x) -> bool:
+    """Whether ``x`` is a real number, Python's or numpy's; a bool is not."""
+    return isinstance(x, numbers.Real) and not isinstance(x, bool)
+
+
 def _memory_bytes() -> int | None:
     """Bytes of memory this process can use: the smaller of physical memory
     and ``MemAvailable`` in ``/proc/meminfo``, of those that can be read,
@@ -501,11 +506,13 @@ def _check_draws(m: int, seed: int) -> int | None:
 def check_settings(m: int, alpha: float, seed: int) -> int | None:
     """Refuse a Monte Carlo size, level or seed the test cannot use, before
     any work is done, with a :class:`DataError` (exit 3 from the CLI).
-    ``m`` must be a positive integer and ``seed`` a non-negative one,
-    Python's or numpy's; a float or a bool is refused even when it is
-    integral, and the ``m`` replicates alone, 8 m bytes, must fit in the
-    memory that :func:`_memory_bytes` reads.  Returns that memory size, or
-    None if it cannot be read."""
+    ``alpha`` must be a real number in (0, 1).  ``m`` must be a positive
+    integer and ``seed`` a non-negative one, Python's or numpy's; a float
+    or a bool is refused even when it is integral, and the ``m`` replicates
+    alone, 8 m bytes, must fit in the memory that :func:`_memory_bytes`
+    reads.  Returns that memory size, or None if it cannot be read."""
+    if not _real(alpha):
+        raise DataError(f"alpha must be a real number, got {alpha!r}")
     if not 0.0 < alpha < 1.0:
         raise DataError(f"alpha must be in (0, 1), got {alpha}")
     return _check_draws(m, seed)

@@ -344,7 +344,7 @@ def ridge_eigenvalue_ratio(eigenvalues: np.ndarray, c_n: float) -> int:
     if lam.size == 0:
         raise ValueError("empty spectrum")
     if not (math.isfinite(c_n) and c_n > 0):
-        raise ValueError(f"ridge must be finite and positive, got {c_n}")
+        raise DataError(f"ridge must be finite and positive, got {c_n}")
     if np.any(lam < 0):
         raise ValueError("eigenvalues must be nonnegative")
     if np.any(np.diff(lam) > 1e-12):

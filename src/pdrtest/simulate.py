@@ -1,4 +1,4 @@
-"""Simulation designs, size/power experiments, and table output.
+"""Simulation designs, size/power experiments, and table renderings.
 
 Eight data-generating processes are built in: four without a plain
 covariate (``ex1`` .. ``ex4``) and four with one (``ex5c1`` .. ``ex5c4``).
@@ -25,7 +25,7 @@ import numpy as np
 
 from .dataset import Dataset, Schema
 from .errors import DataError
-from .lackfit import BLOCK_ELEMENTS, _integer, check_settings, run_test
+from .lackfit import BLOCK_ELEMENTS, _integer, _real, check_settings, run_test
 
 logger = logging.getLogger(__name__)
 
@@ -58,8 +58,11 @@ class SimDesign:
             raise DataError(f"n must be an integer, got {self.n!r}")
         if self.n < 3:
             raise DataError(f"n must be at least 3, got {self.n}")
+        if not _real(self.a):
+            raise DataError(f"departure a must be a real number, got {self.a!r}")
         if not np.isfinite(self.a):
             raise DataError(f"departure a must be finite, got {self.a}")
+        object.__setattr__(self, "a", float(self.a))
 
 
 _CASE_TABLE = {
@@ -96,7 +99,7 @@ def design(case_id: str, n: int, a: float) -> SimDesign:
     return SimDesign(
         case_id=case_id,
         n=n,
-        a=float(a),
+        a=a,
         p1=p1,
         p2=p2,
         beta0=unit(b0),
@@ -299,19 +302,6 @@ def render_curves(table: PowerTable) -> str:
 
 #: Table renderings by format name.
 RENDERERS = {"csv": render_csv, "text": render_text, "curves": render_curves}
-
-
-def emit_table(table: PowerTable, path: str | Path, format: str = "csv") -> Path:
-    """Write the table to ``path`` in the requested rendering."""
-    if not table.rows:
-        raise ValueError("table is empty")
-    try:
-        rendered = RENDERERS[format](table)
-    except KeyError:
-        raise ValueError(f"unknown format {format!r}; use one of {sorted(RENDERERS)}") from None
-    path = Path(path)
-    path.write_text(rendered, encoding="utf-8")
-    return path
 
 
 def parse_table(text: str) -> PowerTable:

@@ -6,6 +6,7 @@ import csv
 import json
 import logging
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -154,19 +155,58 @@ class TestCmdTest:
         assert code == EXIT_DATA
         assert "seed must be a non-negative integer, got -1" in capsys.readouterr().err
 
-    def test_memory_running_out_is_one_line(self, capsys, monkeypatch):
-        # numpy's own message; raised here, so that nothing is allocated
-        message = "Unable to allocate 745. GiB for an array with shape (100000000000,) and data type float64"
-
+    # numpy's own messages; raised here, so that nothing is allocated or solved
+    @pytest.mark.parametrize("exc, line", [
+        (MemoryError("Unable to allocate 745. GiB for an array with shape (100000000000,) "
+                     "and data type float64"),
+         "out of memory: Unable to allocate 745. GiB for an array with shape (100000000000,) "
+         "and data type float64"),
+        (np.linalg.LinAlgError("Singular matrix"), "linear algebra failure: Singular matrix"),
+    ], ids=["memory", "linear-algebra"])
+    def test_memory_running_out_is_one_line(self, exc, line, capsys, monkeypatch):
         def fail(*args, **kwargs):
-            raise MemoryError(message)
+            raise exc
 
         monkeypatch.setattr(cli, "run_test", fail)
         code = main(["test", "--preset", "boston", "--mc-reps", "100000000000", "--seed", "1"])
         assert code == EXIT_NUMERIC
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert captured.err == f"error: out of memory: {message}\n"
+        assert captured.err == f"error: {line}\n"
+
+    def test_collinear_columns_are_one_numeric_line(self, tmp_path, capsys):
+        rng = np.random.default_rng(34)
+        x1 = rng.standard_normal(60)
+        path = tmp_path / "collinear.csv"
+        np.savetxt(path, np.column_stack([x1 + rng.standard_normal(60), x1, 2.0 * x1]),
+                   delimiter=",", header="y,x1,x2", comments="")
+        code = main(["test", "--data", str(path), "--y", "y", "--x", "x1,x2",
+                     "--mc-reps", "20", "--seed", "1"])
+        assert code == EXIT_NUMERIC
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert re.fullmatch(r"error: covariance is near-singular: [^\n]+\n", captured.err)
+
+    @pytest.mark.parametrize("flags, line", [
+        (["--y", "y", "--x", "x1"], "--data is required (or use --preset boston)"),
+        (["--data", "data.csv", "--y", "y"], "--y and --x are required without a preset"),
+    ])
+    def test_missing_flag_is_one_data_line(self, flags, line, capsys):
+        # both are refused before any file is read
+        code = main(["test", *flags, "--mc-reps", "20", "--seed", "1"])
+        assert code == EXIT_DATA
+        assert capsys.readouterr().err == f"error: {line}\n"
+
+    def test_dropped_rows_noted_on_stderr(self, ex1_file, capsys):
+        # inf and NA cells drop their rows; a blank line is not a row
+        with open(ex1_file, "a", encoding="utf-8") as fh:
+            fh.write("inf,0,0,0,0\n\n0,NA,0,0,0\n")
+        assert main(["dim", "--data", ex1_file, "--y", "y", "--x", "x1,x2,x3,x4",
+                     "--format", "json"]) == EXIT_OK
+        captured = capsys.readouterr()
+        assert captured.err == "note: 2 row(s) dropped (missing or non-numeric cells)\n"
+        config = json.loads(captured.out)["config"]
+        assert (config["n"], config["dropped_rows"]) == (400, 2)
 
     def test_replicates_past_memory_refused_before_fitting(self, capsys, monkeypatch):
         def fail(*args, **kwargs):

@@ -17,7 +17,6 @@ from pdrtest import DataError, design, generate, lackfit, power_experiment, run_
 from pdrtest.simulate import (
     PowerRow,
     PowerTable,
-    emit_table,
     parse_table,
     read_experiment_spec,
     render_csv,
@@ -76,9 +75,16 @@ class TestDesigns:
         with pytest.raises(DataError, match="unknown case"):
             design("ex9", 100, 0.0)
 
-    @pytest.mark.parametrize("a", [np.nan, np.inf, -np.inf])
-    def test_non_finite_departure_rejected(self, a):
-        with pytest.raises(DataError, match=f"departure a must be finite, got {a}"):
+    @pytest.mark.parametrize("a, message", [
+        (np.nan, "^departure a must be finite, got nan$"),
+        (np.inf, "^departure a must be finite, got inf$"),
+        (-np.inf, "^departure a must be finite, got -inf$"),
+        ("x", "^departure a must be a real number, got 'x'$"),
+        (None, "^departure a must be a real number, got None$"),
+        (True, "^departure a must be a real number, got True$"),
+    ])
+    def test_non_finite_departure_rejected(self, a, message):
+        with pytest.raises(DataError, match=message):
             design("ex1", 100, a)
 
     @pytest.mark.parametrize("n, message", [
@@ -96,6 +102,9 @@ class TestDesigns:
 
     def test_numpy_integer_size_accepted(self):
         assert design("ex1", np.int64(50), 0.0).n == 50
+        # a numpy departure is stored as Python's float, so the curves print 0.6
+        a = design("ex1", 50, np.float64(0.6)).a
+        assert type(a) is float and repr(a) == "0.6"
 
     @pytest.mark.parametrize("case", ["ex1", "ex2", "ex3", "ex4", "ex5c1", "ex5c2", "ex5c3", "ex5c4"])
     def test_directions_are_unit_norm(self, case):
@@ -231,6 +240,8 @@ class TestPowerExperiment:
     @pytest.mark.parametrize("alpha, mc_reps, message", [
         (1.5, 10, r"^alpha must be in \(0, 1\), got 1.5$"),
         (0.05, 0, r"^need at least one replicate, got 0$"),
+        ("0.05", 10, r"^alpha must be a real number, got '0.05'$"),
+        (None, 10, r"^alpha must be a real number, got None$"),
     ])
     def test_bad_level_or_mc_size_named_before_any_replicate(self, alpha, mc_reps, message,
                                                                caplog, monkeypatch):
@@ -403,11 +414,9 @@ class TestTables:
         text = render_csv(self._table(18))
         assert len(text.strip().splitlines()) == 19
 
-    def test_round_trip(self, tmp_path):
+    def test_round_trip(self):
         table = self._table(5)
-        path = emit_table(table, tmp_path / "t.csv", format="csv")
-        parsed = parse_table(path.read_text())
-        assert parsed.rows == table.rows
+        assert parse_table(render_csv(table)).rows == table.rows
 
     def test_text_header_is_power_row_fields(self):
         lines = render_text(self._table(2)).splitlines()
@@ -430,14 +439,6 @@ class TestTables:
         lines = text.strip().splitlines()
         assert lines[0] == "case,a,rate_n50,rate_n100"
         assert len(lines) == 3
-
-    def test_empty_table_rejected(self, tmp_path):
-        with pytest.raises(ValueError, match="empty"):
-            emit_table(PowerTable(rows=[]), tmp_path / "t.csv")
-
-    def test_unknown_format_rejected(self, tmp_path):
-        with pytest.raises(ValueError, match="format"):
-            emit_table(self._table(1), tmp_path / "t.csv", format="yaml")
 
 
 class TestExperimentSpec:
