@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import csv
 import math
+import numbers
 from dataclasses import dataclass
 from importlib import resources
 from pathlib import Path
@@ -49,6 +50,17 @@ BOSTON_SCHEMA = Schema(
     x=("ZN", "INDUS", "NOX", "RM", "AGE", "DIS", "RAD", "TAX", "PTRATIO", "B", "LSTAT"),
     w=("CRIM",),
 )
+
+
+def _integer(k) -> bool:
+    """Whether ``k`` is an integer, Python's or numpy's; a float or a bool
+    is not, even when it is integral."""
+    return isinstance(k, numbers.Integral) and not isinstance(k, bool)
+
+
+def _real(x) -> bool:
+    """Whether ``x`` is a real number, Python's or numpy's; a bool is not."""
+    return isinstance(x, numbers.Real) and not isinstance(x, bool)
 
 
 def as_columns(name: str, values) -> np.ndarray:

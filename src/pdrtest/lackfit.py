@@ -10,8 +10,11 @@ the decision invariant to any common positive rescaling.  The statistic,
 the score mean and each block of resampled statistics are one operation,
 ``slot_sums(values, spare)`` of a :class:`DominanceKernel`, and the
 statistic and the replicates are read from its sums alike, ``(y * y) @
-weights / n^2``; no n x n array is formed above n = 1024.  Over one column
-of points the slot sums are prefix sums in sorted order, taken for a block
+weights / n^2``; no n x n array is formed above n = 256.  Over two or
+more columns the points are sorted by their first column, and each block
+of columns is multiplied only by the rows that can dominate it, about half
+of the n x n indicators in all.  Over one column of points the slot sums
+are prefix sums in sorted order, taken for a block
 of rows as one product per row of chunks of ``SCAN_CHUNK`` slots with a
 triangular matrix of ones, in place of ``np.cumsum``'s serial chain of
 adds.  From ``THREAD_CROSSOVER`` observations, a W-free multiplier pass
@@ -24,25 +27,27 @@ from __future__ import annotations
 import contextlib
 import functools
 import multiprocessing
-import numbers
 import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 
-from .dataset import Dataset
+from .dataset import Dataset, _integer, _real
 from .errors import DataError
 from .families import ModelFamily, get_family
 from .fit import FitResult, influence_vectors, nls_fit
 from .sdr import BasisEstimate, estimate_basis
 
 
-#: Entries of one dense indicator block.  Up to n = 1024 one block holds
-#: every column, and the block kernel builds its indicators once; above
-#: that it builds column blocks of this size on every call, with multiplier
-#: blocks of as many rows to amortise each rebuild, so that no n x n array
-#: is formed.
+#: Entries of one dense indicator block of n rows.  Up to n = 1024 one
+#: block holds every column, and the block kernel builds its indicators
+#: once, in column blocks of a multiplier block's width; above that it
+#: builds column blocks of ``block_width(n)`` columns on every call, with
+#: multiplier blocks of as many rows to amortise each rebuild, so that no
+#: n x n array is formed.  A column block keeps only the rows that can
+#: dominate it, so one block holds at most this many entries, and the
+#: blocks of all columns about half of n^2.
 BLOCK_ELEMENTS = 1 << 20
 
 
@@ -98,17 +103,15 @@ def cache_rows(n: int) -> int:
 
 def indicator_block(points: np.ndarray, cols: slice) -> np.ndarray:
     """Boolean dominance indicators ``1{points_i <= points_j}`` for every i
-    and the columns j in ``cols``."""
+    and the columns j in ``cols``, over points sorted by their first
+    column: the rows before ``cols`` are not compared in it."""
     out = np.ones((points.shape[0], cols.stop - cols.start), dtype=bool)
-    for c in range(points.shape[1]):
+    for c in range(1, points.shape[1]):
         col = points[:, c]
         out &= col[:, None] <= col[None, cols]
+    first = points[:, 0]
+    out[cols.start:] &= first[cols.start:, None] <= first[None, cols]
     return out
-
-
-def column_blocks(n: int) -> list[slice]:
-    width = block_width(n)
-    return [slice(lo, min(lo + width, n)) for lo in range(0, n, width)]
 
 
 class DominanceKernel:
@@ -181,41 +184,63 @@ class SortedKernel(DominanceKernel):
 
 
 class BlockKernel(DominanceKernel):
-    """Two or more columns of points: slot j is point j, and the sums are
-    products with the dense indicators, written to ``spare``.  While one
-    block holds every column (``n <= block_width(n)``), the float64
-    indicator matrix is built once, on first use, and a multiplier block
-    has the cache-sized rows of the sorted kernel.  Above that, column
-    blocks are built on every call, a multiplier block has
-    ``block_width(n)`` rows, and memory stays O(block * n).  A pass runs
-    on one thread: its products already run on the BLAS threads."""
+    """Two or more columns of points: slot t is sorted position t in the
+    stable sort of the first column, with weight 1, and the sums are
+    products with dense indicator blocks.  A column block J of slots can
+    only be dominated by the ``ends[J]`` slots whose first value is at most
+    the largest of J's, ties included, so its block has only those rows.
+
+    ``slot_sums`` sorts ``values`` into ``spare`` and writes each block's
+    product, ``t[..., :ends[J]] @ block_J``, to ``values[..., J]``.  While
+    one block of ``BLOCK_ELEMENTS`` holds every column (``n <=
+    block_width(n)``), the blocks have the cache-sized width of a
+    multiplier block and are built once, in float64, on first use.  Above
+    that, blocks of ``block_width(n)`` columns are built on every call, a
+    multiplier block has as many rows, and memory stays O(block * n).  A
+    pass runs on one thread: its products already run on the BLAS
+    threads."""
 
     threads = 1
 
     def __init__(self, points: np.ndarray):
         self.points, self.n = points, points.shape[0]
-        self.slot_of, self.weights = np.arange(self.n), np.ones(self.n)
+        self.order = np.argsort(points[:, 0], kind="stable")
+        self.sorted = points[self.order]
+        self.slot_of = np.empty(self.n, dtype=np.intp)
+        self.slot_of[self.order] = np.arange(self.n)
+        self.weights = np.ones(self.n)
 
     @property
     def whole(self) -> bool:
-        """Whether one block holds every column of the indicators."""
+        """Whether one block of ``BLOCK_ELEMENTS`` holds every column."""
         return self.n <= block_width(self.n)
 
     @property
     def rows(self) -> int:
         return cache_rows(self.n) if self.whole else block_width(self.n)
 
+    def blocks(self):
+        """Each column block's slots and its float64 indicators over the
+        slots that can dominate it, built now."""
+        first, width = self.sorted[:, 0], self.rows
+        for lo in range(0, self.n, width):
+            cols = slice(lo, min(lo + width, self.n))
+            end = np.searchsorted(first, first[cols.stop - 1], side="right")
+            # cast here: a product with the boolean block took 1.15x as long (n = 8000)
+            yield cols, indicator_block(self.sorted[:end], cols).astype(float)
+
     @functools.cached_property
-    def indicators(self) -> np.ndarray:
-        """The (n, n) float64 indicator matrix, for ``whole`` kernels."""
-        return indicator_block(self.points, slice(0, self.n)).astype(float)
+    def indicators(self) -> list[tuple[slice, np.ndarray]]:
+        """The blocks of a ``whole`` kernel."""
+        return list(self.blocks())
 
     def slot_sums(self, values: np.ndarray, spare: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        if self.whole:
-            return np.matmul(values, self.indicators, out=spare), values
-        for cols in column_blocks(self.n):
-            np.matmul(values, indicator_block(self.points, cols), out=spare[..., cols])
-        return spare, values
+        # "clip" on indices that are all valid: the default "raise" buffers ``spare``
+        t = np.take(values, self.order, axis=-1, out=spare, mode="clip")
+        for cols, block in self.indicators if self.whole else self.blocks():
+            np.matmul(t[..., :block.shape[0]], block, out=values[..., cols])
+            del block  # a built block is freed before the next is built
+        return values, spare
 
 
 def dominance_kernel(points: np.ndarray) -> DominanceKernel:
@@ -425,7 +450,12 @@ def mc_pvalue(t_n: float, a: InfluenceOperator, m: int, seed: int) -> tuple[floa
     kernel.  Each block is one :meth:`InfluenceOperator.square_sums` in
     those two buffers, so a pass holds ``2 * spans * rows * n`` floats
     (1 MB a span at 2^16 entries) and the ``m`` replicates; only a large
-    block kernel allocates per block, its indicator blocks.
+    block kernel allocates per block, its indicator blocks, one column
+    block at a time and each over only the rows that can dominate it.  A
+    block kernel's multiplier block is sorted into the spare buffer and
+    multiplied block by block back into the draws' buffer, so over sorted
+    points it does about half the flops of one product with the n x n
+    indicators.
 
     The blocks are cut into ``min(a.kernel.threads, blocks)`` contiguous
     spans of whole blocks, one per thread, each with its own buffers: more
@@ -463,17 +493,6 @@ def mc_pvalue(t_n: float, a: InfluenceOperator, m: int, seed: int) -> tuple[floa
             done.result()
     replicates /= n * n
     return pvalue_from_replicates(t_n, replicates), replicates
-
-
-def _integer(k) -> bool:
-    """Whether ``k`` is an integer, Python's or numpy's; a float or a bool
-    is not, even when it is integral."""
-    return isinstance(k, numbers.Integral) and not isinstance(k, bool)
-
-
-def _real(x) -> bool:
-    """Whether ``x`` is a real number, Python's or numpy's; a bool is not."""
-    return isinstance(x, numbers.Real) and not isinstance(x, bool)
 
 
 def _memory_bytes() -> int | None:

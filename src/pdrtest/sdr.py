@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dataset import Dataset, as_columns, standardize
+from .dataset import Dataset, _real, as_columns, standardize
 from .errors import DataError
 
 #: Target occupancy per response slice inside a W-cell.
@@ -368,8 +368,11 @@ def default_ridge(n: int) -> float:
 def estimate_basis(ds: Dataset, c_n: float | None = None) -> BasisEstimate:
     """Whiten X, build the candidate matrix (response-sliced when W is
     absent, W-partialled otherwise), pick the dimension, and back-transform
-    the leading eigenvectors to original scale.
+    the leading eigenvectors to original scale.  A ``c_n`` that is not a
+    real number is a :class:`DataError`, raised before any work.
     """
+    if c_n is not None and not _real(c_n):
+        raise DataError(f"c_n must be a real number, got {c_n!r}")
     z, std = standardize(ds.x)
     if ds.p2 == 0:
         cand = dee_matrix(z, ds.y)

@@ -23,9 +23,9 @@ from pathlib import Path
 
 import numpy as np
 
-from .dataset import Dataset, Schema
+from .dataset import Dataset, Schema, _integer, _real
 from .errors import DataError
-from .lackfit import BLOCK_ELEMENTS, _integer, _real, check_settings, run_test
+from .lackfit import BLOCK_ELEMENTS, check_settings, run_test
 
 logger = logging.getLogger(__name__)
 
@@ -184,14 +184,17 @@ def _check_experiment(designs: list[SimDesign], reps: int, mc_reps: int, alpha: 
     # A lower bound on one replicate's memory, from tracemalloc peaks of
     # generate and run_test at m = 300.  Without W the peak was 5.2-7.4
     # times the data's n (p1 + p2 + 2) 8 bytes at n = 8000 to 200 000 (ex1,
-    # ex3, ex4).  With one W column it was 52-113 times the data at n = 500
-    # to 8000 (ex5c1, ex5c3), most of it dense indicator blocks: 1.1-3.8
-    # blocks of min(n^2, BLOCK_ELEMENTS) float64 over 7 times the data.  So
-    # a replicate holds at least 4 times its data, one block with W, and
-    # its m replicates, and a grid is refused only when it cannot run.
+    # ex3, ex4).  With one W column it was 52-255 times the data at n = 500
+    # to 8000 (ex5c1, ex5c3), most of it dense indicator blocks: over 4
+    # times the data and the m replicates, 0.67-4.0 blocks of min(n^2,
+    # BLOCK_ELEMENTS) float64, the least at n = 1000 to 1024, where the
+    # block kernel holds only the indicator rows that can dominate each
+    # column block.  Those rows are at least half of n^2.  So a replicate
+    # holds at least 4 times its data, half a block with W, and its m
+    # replicates, and a grid is refused only when it cannot run.
     def replicate_bytes(d: SimDesign) -> int:
         n = int(d.n)
-        block = min(n * n, BLOCK_ELEMENTS) if d.p2 else 0
+        block = min(n * n, BLOCK_ELEMENTS) // 2 if d.p2 else 0
         return 8 * (4 * n * (d.p1 + d.p2 + 2) + block + int(mc_reps))
 
     big = max(designs, key=replicate_bytes)

@@ -8,6 +8,7 @@ import dataclasses
 import functools
 import io
 import os
+import re
 import threading
 import tracemalloc
 from types import SimpleNamespace
@@ -38,6 +39,7 @@ from pdrtest import (
     pvalue_from_replicates,
     rho_matrix,
     run_test,
+    sdr,
     tn_statistic,
 )
 from pdrtest.lackfit import ProjectedSample
@@ -254,6 +256,40 @@ class TestDominanceSums:
         sums = dominance_sums(np.array([1.0, 10.0, 100.0, 1000.0]), np.array([2.0, 1.0, 2.0, 3.0]))
         np.testing.assert_array_equal(sums, [111.0, 10.0, 111.0, 1111.0])
 
+    @given(k=st.integers(2, 3), width=st.integers(1, 8), blocks=st.integers(1, 5),
+           offset=st.sampled_from([-1, 0, 1]), whole=st.booleans(),
+           kind=st.sampled_from(["straddle", "tied", "duplicated"]), seed=st.integers(0, 2**32 - 1))
+    # tie runs of the first column across every column-block boundary
+    @example(k=2, width=4, blocks=3, offset=1, whole=False, kind="straddle", seed=1)
+    @example(k=3, width=5, blocks=4, offset=-1, whole=True, kind="straddle", seed=2)
+    @settings(max_examples=200, deadline=None)
+    def test_block_kernel_matches_oracles(self, k, width, blocks, offset, whole, kind, seed):
+        # n = blocks * width + offset points in column blocks of ``width``
+        # slots: built once (whole) or on every call (column-blocked)
+        n = max(1, blocks * width + offset)
+        rng = np.random.default_rng(seed)
+        if kind == "straddle":  # runs of width + 1 equal first values
+            points = rng.standard_normal((n, k))
+            points[:, 0] = rng.permutation(np.arange(n) // (width + 1)).astype(float)
+        else:
+            points = draw_points(rng, n, k, kind)
+        values = rng.standard_normal((3, n))
+        with pytest.MonkeyPatch.context() as mp:
+            if whole:
+                mp.setattr(lackfit, "BLOCK_ELEMENTS", n * n)
+                mp.setattr(lackfit, "CACHE_ELEMENTS", n * width)
+            else:
+                blocks_of(mp, n, width)
+            kernel = lackfit.BlockKernel(points)
+            assert kernel.whole == (whole or n <= width) and kernel.rows == width
+            np.testing.assert_array_equal(kernel.order[kernel.slot_of], np.arange(n))
+            np.testing.assert_array_equal(kernel.weights, np.ones(n))
+            got, got_one = point_sums(kernel, values), point_sums(kernel, values[0])
+        ind = indicator_oracle(points)
+        np.testing.assert_array_equal(ind, indicator_matrix(points))
+        assert_rel(got, values @ ind)
+        assert_rel(got_one, values[0] @ ind)
+
 
 def random_operator(rng, n, k, kind, p2=0):
     """An influence operator over n points of the given kind in k
@@ -350,15 +386,17 @@ class TestInfluenceOperator:
         for got, want in zip(given, before):
             np.testing.assert_array_equal(got, want)
 
-    @pytest.mark.parametrize("width, builds", [(50, 2), (7, 8 * (2 + 23))])
-    def test_block_kernel_indicator_builds(self, monkeypatch, width, builds):
-        # two kernels (t_n's and the operator's): built whole, once each;
-        # in 8 column blocks, rebuilt for t_n, the score mean and each of
-        # the 23 multiplier blocks of 7 rows
+    @pytest.mark.parametrize("block, cache, builds", [(50, 50, 2), (50, 7, 2 * 8), (7, 7, 8 * (2 + 23))])
+    def test_block_kernel_indicator_builds(self, monkeypatch, block, cache, builds):
+        # two kernels (t_n's and the operator's), each built once per
+        # column block: whole in one block, or in 8 blocks of 7 slots; in 8
+        # column blocks past one whole block, rebuilt for t_n, the score mean
+        # and each of the 23 multiplier blocks of 7 rows
         built = []
         build = lackfit.indicator_block
         monkeypatch.setattr(lackfit, "indicator_block", lambda p, cols: built.append(cols) or build(p, cols))
-        blocks_of(monkeypatch, 50, width)
+        monkeypatch.setattr(lackfit, "BLOCK_ELEMENTS", 50 * block)
+        monkeypatch.setattr(lackfit, "CACHE_ELEMENTS", 50 * cache)
         rng = np.random.default_rng(30)
         s, w = rng.standard_normal((50, 2)), rng.integers(0, 4, (50, 1)).astype(float)
         proj = ProjectedSample.of(s, w)
@@ -381,8 +419,9 @@ class TestInfluenceOperator:
         assert peak < 8e6, f"tracemalloc peak {peak / 1e6:.1f} MB"
 
     def test_w_path_run_test_memory_at_boston_keeps_one_indicator_matrix(self, boston):
-        # with q_hat = 2, t_n's (s, w) kernel sums one row: its 2 MB of
-        # float64 indicators are not kept through rho_matrix and mc_pvalue
+        # with q_hat = 2, t_n's (s, w) kernel sums one row: its 1.3 MB of
+        # float64 indicator blocks are not kept through rho_matrix and
+        # mc_pvalue, and the operator's kernel holds as much
         tracemalloc.start()
         try:
             rep = run_test(boston, "linear+w", m=2000, seed=1)
@@ -390,7 +429,7 @@ class TestInfluenceOperator:
         finally:
             tracemalloc.stop()
         assert rep.q_hat == 2 and rep.replicates.shape == (2000,)
-        assert peak < 4.5e6, f"tracemalloc peak {peak / 1e6:.1f} MB"
+        assert peak < 4.0e6, f"tracemalloc peak {peak / 1e6:.1f} MB"
 
     def test_w_free_mc_pvalue_memory_at_eight_thousand(self):
         ds, fit, proj = fitted_instance("ex1", 8000, 0.6, 28)
@@ -821,6 +860,21 @@ class TestRunTest:
         ds = generate(design("ex1", 50, 0.0), np.random.default_rng(18))
         with pytest.raises(DataError, match="alpha"):
             run_test(ds, "linear", m=10, seed=1, alpha=1.2)
+
+    @pytest.mark.parametrize("c_n", ["0.1", True, "x"])
+    def test_non_real_ridge_named_before_any_work(self, monkeypatch, c_n):
+        def fail(*args, **kwargs):
+            raise AssertionError("data standardized before c_n was checked")
+
+        ds = generate(design("ex1", 50, 0.0), np.random.default_rng(18))
+        monkeypatch.setattr(sdr, "standardize", fail)
+        with pytest.raises(DataError, match=rf"^c_n must be a real number, got {re.escape(repr(c_n))}$"):
+            run_test(ds, "linear", m=50, c_n=c_n, seed=1)
+
+    def test_numpy_ridge_accepted(self):
+        ds = generate(design("ex1", 50, 0.0), np.random.default_rng(18))
+        rep = run_test(ds, "linear", m=20, c_n=np.float32(0.5), seed=1)
+        assert rep.basis.ridge == 0.5 and type(rep.to_record()["c_n"]) is float
 
     @pytest.mark.parametrize("setting", [
         {"seed": 1.5}, {"seed": 1.0}, {"seed": True}, {"m": 2.5}, {"m": 50.0}, {"m": True},

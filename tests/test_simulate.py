@@ -325,13 +325,13 @@ class TestPowerExperiment:
                 power_experiment(designs, 2, 10, 0.05, 1, workers=2)
         assert not [r for r in caplog.records if "replicate failed" in r.getMessage()]
 
-    # one replicate: 4 times the data's n (p1 + p2 + 2) float64, a dense
+    # one replicate: 4 times the data's n (p1 + p2 + 2) float64, half a dense
     # indicator block of min(n^2, BLOCK_ELEMENTS) with W, and m replicates
     @pytest.mark.parametrize("case, n, workers, need", [
         ("ex3", 1000, 1, 8 * (4 * 1000 * 10 + 10)),
         ("ex3", 1000, 2, 2 * 8 * (4 * 1000 * 10 + 10)),
-        ("ex5c3", 1000, 1, 8 * (4 * 1000 * 11 + 1000**2 + 10)),
-        ("ex5c3", 2000, 1, 8 * (4 * 2000 * 11 + lackfit.BLOCK_ELEMENTS + 10)),
+        ("ex5c3", 1000, 1, 8 * (4 * 1000 * 11 + 1000**2 // 2 + 10)),
+        ("ex5c3", 2000, 1, 8 * (4 * 2000 * 11 + lackfit.BLOCK_ELEMENTS // 2 + 10)),
     ])
     def test_memory_bound_at_its_boundary(self, case, n, workers, need, monkeypatch):
         reads = []
