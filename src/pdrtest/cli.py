@@ -166,7 +166,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_sim.add_argument("--out", help="output path (overrides 'out' from the experiment file)")
     p_sim.add_argument("--format", choices=list(RENDERERS), default="csv")
     p_sim.add_argument("--workers", type=int, default=1,
-                       help="worker processes (default 1)")
+                       help="worker processes at most; no more than the replicates "
+                            "per cell or the CPUs are started (default 1)")
     p_sim.set_defaults(func=cmd_simulate)
     return parser
 

@@ -126,7 +126,31 @@ class DominanceKernel:
     point's squared sum once.  ``rows`` is the replicate rows of one
     multiplier block, and ``threads`` the most threads a multiplier pass
     may run on.
+
+    Every kernel sorts its points stably by their first column, ``order``,
+    and a pass starts by gathering ``values`` into that order in ``spare``.
+    By default slot t is sorted position t with weight 1; a kernel whose
+    slots differ sets its own ``slot_of`` and ``weights`` when it is built.
     """
+
+    def __init__(self, points: np.ndarray):
+        self.points, self.n = points, points.shape[0]
+        self.order = np.argsort(points[:, 0], kind="stable")
+
+    @functools.cached_property
+    def slot_of(self) -> np.ndarray:
+        slots = np.empty(self.n, dtype=np.intp)
+        slots[self.order] = np.arange(self.n)
+        return slots
+
+    @functools.cached_property
+    def weights(self) -> np.ndarray:
+        return np.ones(self.n)
+
+    def _gather(self, values: np.ndarray, spare: np.ndarray) -> np.ndarray:
+        """``values`` in first-column order along the last axis, in ``spare``."""
+        # "clip" on indices that are all valid: the default "raise" buffers ``spare``
+        return np.take(values, self.order, axis=-1, out=spare, mode="clip")
 
     def slot_sums(self, values: np.ndarray, spare: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         raise NotImplementedError
@@ -137,7 +161,7 @@ class SortedKernel(DominanceKernel):
     is the prefix sum of the sorted values read at the last position of
     its tie run.  Slots inside a run hold partial sums and have weight 0.
 
-    ``slot_sums`` sorts ``values`` into ``spare``.  1-D values and rows
+    ``slot_sums`` gathers ``values`` into ``spare``.  1-D values and rows
     shorter than ``SCAN_CHUNK`` are then summed in place by ``np.cumsum``.
     Longer rows are summed back into ``values`` in chunks of
     ``SCAN_CHUNK`` slots: the running sum of the chunk totals up to each
@@ -148,8 +172,8 @@ class SortedKernel(DominanceKernel):
     take ``np.cumsum``."""
 
     def __init__(self, points: np.ndarray):
-        col, self.points, self.n = points[:, 0], points, points.shape[0]
-        self.order = np.argsort(col, kind="stable")
+        super().__init__(points)
+        col = points[:, 0]
         self.slot_of = np.searchsorted(col[self.order], col, side="right") - 1
         self.weights = np.bincount(self.slot_of, minlength=self.n).astype(float)
         self.upper = np.triu(np.ones((SCAN_CHUNK, SCAN_CHUNK)))
@@ -166,8 +190,7 @@ class SortedKernel(DominanceKernel):
         return min(cores(), MAX_THREADS)
 
     def slot_sums(self, values: np.ndarray, spare: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        # "clip" on indices that are all valid: the default "raise" buffers ``spare``
-        t = np.take(values, self.order, axis=-1, out=spare, mode="clip")
+        t = self._gather(values, spare)
         size = self.upper.shape[0]
         if t.ndim < 2 or self.n < size:
             return np.cumsum(t, axis=-1, out=t), values
@@ -184,13 +207,12 @@ class SortedKernel(DominanceKernel):
 
 
 class BlockKernel(DominanceKernel):
-    """Two or more columns of points: slot t is sorted position t in the
-    stable sort of the first column, with weight 1, and the sums are
+    """Two or more columns of points, in the default slots: the sums are
     products with dense indicator blocks.  A column block J of slots can
     only be dominated by the ``ends[J]`` slots whose first value is at most
     the largest of J's, ties included, so its block has only those rows.
 
-    ``slot_sums`` sorts ``values`` into ``spare`` and writes each block's
+    ``slot_sums`` gathers ``values`` into ``spare`` and writes each block's
     product, ``t[..., :ends[J]] @ block_J``, to ``values[..., J]``.  While
     one block of ``BLOCK_ELEMENTS`` holds every column (``n <=
     block_width(n)``), the blocks have the cache-sized width of a
@@ -203,12 +225,8 @@ class BlockKernel(DominanceKernel):
     threads = 1
 
     def __init__(self, points: np.ndarray):
-        self.points, self.n = points, points.shape[0]
-        self.order = np.argsort(points[:, 0], kind="stable")
+        super().__init__(points)
         self.sorted = points[self.order]
-        self.slot_of = np.empty(self.n, dtype=np.intp)
-        self.slot_of[self.order] = np.arange(self.n)
-        self.weights = np.ones(self.n)
 
     @property
     def whole(self) -> bool:
@@ -235,8 +253,7 @@ class BlockKernel(DominanceKernel):
         return list(self.blocks())
 
     def slot_sums(self, values: np.ndarray, spare: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        # "clip" on indices that are all valid: the default "raise" buffers ``spare``
-        t = np.take(values, self.order, axis=-1, out=spare, mode="clip")
+        t = self._gather(values, spare)
         for cols, block in self.indicators if self.whole else self.blocks():
             np.matmul(t[..., :block.shape[0]], block, out=values[..., cols])
             del block  # a built block is freed before the next is built
@@ -432,15 +449,25 @@ def pvalue_from_replicates(t_n: float, replicates: np.ndarray) -> float:
     return float(np.mean(replicates >= t_n))
 
 
+def _draw_multipliers(u: np.ndarray, seed: int, start: int) -> None:
+    """Fill row i of the block ``u`` with the standard normal multipliers of
+    replicate ``start + i``, drawn from the substream ``SeedSequence(seed,
+    spawn_key=(start + i,))``, the child ``start + i`` of
+    ``SeedSequence(seed).spawn``, so a row depends on its index only."""
+    for j, row in enumerate(u, start):
+        child = np.random.SeedSequence(seed, spawn_key=(j,))
+        np.random.default_rng(child).standard_normal(out=row)
+
+
 def mc_pvalue(t_n: float, a: InfluenceOperator, m: int, seed: int) -> tuple[float, np.ndarray]:
     """Monte Carlo p-value of ``t_n`` against ``m`` multiplier replicates.
 
     ``a`` is the operator :func:`rho_matrix` returns.  Multiplier vector j
-    comes from the substream ``SeedSequence(seed, spawn_key=(j,))``, the
-    child j of ``SeedSequence(seed).spawn``, so the first k replicates are
-    the same for any ``m >= k``.  Replicate j is the sum of squares of
-    ``u_j @ a`` over n^2.  ``m`` and ``seed`` are checked as
-    :func:`check_settings` checks them.
+    is drawn from its own substream of ``seed`` by
+    :func:`_draw_multipliers`, so the first k replicates are the same for
+    any ``m >= k``.  Replicate j is the sum of squares of ``u_j @ a`` over
+    n^2.  ``m`` and ``seed`` are checked as :func:`check_settings` checks
+    them.
 
     The multipliers are drawn into one reused block buffer, of the rows the
     operator's kernel sets: about 2^16 entries over the sorted kernel and
@@ -481,9 +508,7 @@ def mc_pvalue(t_n: float, a: InfluenceOperator, m: int, seed: int) -> tuple[floa
         x = np.empty_like(u)
         for start in range(lo, hi, rows):
             k = min(rows, hi - start)
-            for j, row in enumerate(u[:k], start):
-                child = np.random.SeedSequence(seed, spawn_key=(j,))
-                np.random.default_rng(child).standard_normal(out=row)
+            _draw_multipliers(u[:k], seed, start)
             replicates[start:start + k] = a.square_sums(u[:k], x[:k])
 
     with ThreadPoolExecutor(spans) as pool:  # a thread per submission at most
@@ -548,8 +573,20 @@ def run_test(
 ) -> TestReport:
     """Full pipeline: direction estimate, least-squares fit, statistic,
     multiplier resampling, decision.  Deterministic given ``seed``.
+
+    The one checked entry point: :func:`check_settings` refuses ``m``,
+    ``alpha`` and ``seed``, and :func:`~pdrtest.sdr.estimate_basis`
+    ``c_n``, before any work.  ``simulate`` checks an experiment's
+    settings once and runs each replicate's pipeline unchecked.
     """
     check_settings(m, alpha, seed)
+    return _pipeline(ds, family, m, c_n, seed, alpha)
+
+
+def _pipeline(ds: Dataset, family: ModelFamily | str, m: int, c_n: float | None, seed: int,
+              alpha: float) -> TestReport:
+    """:func:`run_test` on settings already checked.  Each stage is called
+    through this module's globals, so a wrapper set on the module sees it."""
     if isinstance(family, str):
         family = get_family(family, ds.p1, ds.p2)
     basis = estimate_basis(ds, c_n)

@@ -336,6 +336,16 @@ def ridge_ratios(eigenvalues: np.ndarray, c_n: float) -> np.ndarray:
     return (sq[1:] + c_n) / (sq[:-1] + c_n)
 
 
+def _check_ridge(c_n) -> float:
+    """``c_n`` as a float, or a :class:`DataError` naming it unless it is a
+    finite positive real number."""
+    if not _real(c_n):
+        raise DataError(f"c_n must be a real number, got {c_n!r}")
+    if not (math.isfinite(c_n) and c_n > 0):
+        raise DataError(f"the ridge c_n must be finite and positive, got {c_n}")
+    return float(c_n)
+
+
 def ridge_eigenvalue_ratio(eigenvalues: np.ndarray, c_n: float) -> int:
     """Estimated rank: the minimizer of ridge-regularized ratios of
     consecutive squared eigenvalues, ties toward the smaller index.
@@ -343,8 +353,7 @@ def ridge_eigenvalue_ratio(eigenvalues: np.ndarray, c_n: float) -> int:
     lam = np.asarray(eigenvalues, dtype=float).reshape(-1)
     if lam.size == 0:
         raise ValueError("empty spectrum")
-    if not (math.isfinite(c_n) and c_n > 0):
-        raise DataError(f"ridge must be finite and positive, got {c_n}")
+    c_n = _check_ridge(c_n)
     if np.any(lam < 0):
         raise ValueError("eigenvalues must be nonnegative")
     if np.any(np.diff(lam) > 1e-12):
@@ -369,16 +378,15 @@ def estimate_basis(ds: Dataset, c_n: float | None = None) -> BasisEstimate:
     """Whiten X, build the candidate matrix (response-sliced when W is
     absent, W-partialled otherwise), pick the dimension, and back-transform
     the leading eigenvectors to original scale.  A ``c_n`` that is not a
-    real number is a :class:`DataError`, raised before any work.
+    finite positive real number is a :class:`DataError`, raised before any
+    work.
     """
-    if c_n is not None and not _real(c_n):
-        raise DataError(f"c_n must be a real number, got {c_n!r}")
+    ridge = default_ridge(ds.n) if c_n is None else _check_ridge(c_n)
     z, std = standardize(ds.x)
     if ds.p2 == 0:
         cand = dee_matrix(z, ds.y)
     else:
         cand = pdee_matrix(z, ds.y, ds.w)
-    ridge = default_ridge(ds.n) if c_n is None else float(c_n)
     q_hat = ridge_eigenvalue_ratio(cand.eigenvalues, ridge)
     b = std.whitener @ cand.eigenvectors[:, :q_hat]
     b = _fix_signs(b / np.linalg.norm(b, axis=0))

@@ -25,7 +25,7 @@ import numpy as np
 
 from .dataset import Dataset, Schema, _integer, _real
 from .errors import DataError
-from .lackfit import BLOCK_ELEMENTS, check_settings, run_test
+from .lackfit import BLOCK_ELEMENTS, _pipeline, check_settings, cores
 
 logger = logging.getLogger(__name__)
 
@@ -155,21 +155,23 @@ class PowerTable:
 
 
 def _one_replicate(args) -> tuple[bool, bool]:
-    """Worker task: (rejected, fit_warning) for one replicate of one grid cell."""
+    """Worker task: (rejected, fit_warning) for one replicate of one grid
+    cell, whose settings :func:`_check_experiment` has checked."""
     dsg, grid_index, rep_index, seed, mc_reps, alpha = args
     root = np.random.SeedSequence([seed, grid_index, rep_index])
     data_ss, test_ss = root.spawn(2)
     ds = generate(dsg, np.random.default_rng(data_ss))
     test_seed = int(test_ss.generate_state(1, dtype=np.uint64)[0])
-    report = run_test(ds, dsg.null_family, m=mc_reps, seed=test_seed, alpha=alpha)
+    report = _pipeline(ds, dsg.null_family, mc_reps, None, test_seed, alpha)
     return report.reject, not report.fit.converged
 
 
 def _check_experiment(designs: list[SimDesign], reps: int, mc_reps: int, alpha: float,
-                      seed: int, workers: int) -> None:
-    """Refuse, with a :class:`DataError`, a replicate or worker count that is
-    not a positive integer, what :func:`check_settings` refuses, and
-    ``workers`` replicates of a design past the memory this process can use."""
+                      seed: int, workers: int) -> int:
+    """The processes that run the replicates, ``min(workers, reps, cores())``.
+    Refuse, with a :class:`DataError`, a replicate or worker count that is
+    not a positive integer, what :func:`check_settings` refuses, and one
+    replicate of a design per process past the memory this process can use."""
     if not _integer(reps):
         raise DataError(f"reps must be an integer, got {reps}")
     if reps < 1:
@@ -179,8 +181,10 @@ def _check_experiment(designs: list[SimDesign], reps: int, mc_reps: int, alpha: 
     if workers < 1:
         raise DataError(f"workers must be at least 1, got {workers}")
     limit = check_settings(mc_reps, alpha, seed)
+    # a fork pool starts all its processes at its first task: pool only those that can run
+    procs = min(workers, reps, cores())
     if limit is None or not designs:
-        return
+        return procs
     # A lower bound on one replicate's memory, from tracemalloc peaks of
     # generate and run_test at m = 300.  Without W the peak was 5.2-7.4
     # times the data's n (p1 + p2 + 2) 8 bytes at n = 8000 to 200 000 (ex1,
@@ -198,11 +202,12 @@ def _check_experiment(designs: list[SimDesign], reps: int, mc_reps: int, alpha: 
         return 8 * (4 * n * (d.p1 + d.p2 + 2) + block + int(mc_reps))
 
     big = max(designs, key=replicate_bytes)
-    need = int(workers) * replicate_bytes(big)
+    need = int(procs) * replicate_bytes(big)
     if need > limit:
-        raise DataError(f"replicates of {big.case_id} at n={big.n} on {workers} worker(s) need "
+        raise DataError(f"replicates of {big.case_id} at n={big.n} on {procs} worker(s) need "
                         f"at least {need:,} bytes, more than the {limit:,} bytes of memory "
                         "this process can use")
+    return procs
 
 
 def power_experiment(
@@ -215,18 +220,20 @@ def power_experiment(
 ) -> PowerTable:
     """Rejection frequency of the test over fresh datasets, per grid cell.
 
-    Deterministic given ``seed`` regardless of ``workers``; more than one
-    worker runs the replicates of every design in one process pool, made
-    once per call.  Failed replicates are logged and re-raised,
-    non-converged fits only counted and logged.  A bad setting is a
-    :class:`DataError` (exit 3 from the CLI), raised before any replicate
-    runs: the counts, the Monte Carlo size and the seed must be integers,
-    as :func:`check_settings` requires, and ``workers`` replicates of the
-    largest design must fit in memory.
+    Deterministic given ``seed`` regardless of ``workers``.  The replicates
+    of every design run in one process pool, made once per call, of
+    ``min(workers, reps, cores())`` processes, or in this process when
+    that is 1.  Failed replicates are logged and re-raised, non-converged
+    fits only counted and logged.  A bad setting is a :class:`DataError`
+    (exit 3 from the CLI), raised before any replicate runs: the counts,
+    the Monte Carlo size and the seed must be integers, as
+    :func:`check_settings` requires, and one replicate of the largest
+    design per process must fit in memory.  The settings are checked once
+    here, and not again in each replicate.
     """
-    _check_experiment(designs, reps, mc_reps, alpha, seed, workers)
+    procs = _check_experiment(designs, reps, mc_reps, alpha, seed, workers)
     rows: list[PowerRow] = []
-    with ProcessPoolExecutor(workers) if workers > 1 else contextlib.nullcontext() as pool:
+    with ProcessPoolExecutor(procs) if procs > 1 else contextlib.nullcontext() as pool:
         for gi, dsg in enumerate(designs):
             tasks = [(dsg, gi, r, seed, mc_reps, alpha) for r in range(reps)]
             try:

@@ -871,6 +871,16 @@ class TestRunTest:
         with pytest.raises(DataError, match=rf"^c_n must be a real number, got {re.escape(repr(c_n))}$"):
             run_test(ds, "linear", m=50, c_n=c_n, seed=1)
 
+    @pytest.mark.parametrize("c_n", [0, -1.0, np.nan, np.inf])
+    def test_non_positive_or_infinite_ridge_named_before_any_work(self, monkeypatch, c_n):
+        def fail(*args, **kwargs):
+            raise AssertionError("data standardized before c_n was checked")
+
+        ds = generate(design("ex1", 50, 0.0), np.random.default_rng(18))
+        monkeypatch.setattr(sdr, "standardize", fail)
+        with pytest.raises(DataError, match=rf"^the ridge c_n must be finite and positive, got {c_n}$"):
+            run_test(ds, "linear", m=50, c_n=c_n, seed=1)
+
     def test_numpy_ridge_accepted(self):
         ds = generate(design("ex1", 50, 0.0), np.random.default_rng(18))
         rep = run_test(ds, "linear", m=20, c_n=np.float32(0.5), seed=1)

@@ -185,22 +185,77 @@ class TestPowerExperiment:
                 super().__init__(*args, **kwargs)
 
         monkeypatch.setattr(simulate, "ProcessPoolExecutor", Counted)
+        monkeypatch.setattr(simulate, "cores", lambda: 2)  # the pool is bounded by the cores
         designs = [design("ex1", 40, 0.0), design("ex1", 40, 0.8), design("ex3", 40, 0.0)]
         pooled = power_experiment(designs, reps=3, mc_reps=20, alpha=0.05, seed=12, workers=2)
         assert made == [(2,)]
         serial = power_experiment(designs, reps=3, mc_reps=20, alpha=0.05, seed=12, workers=1)
         assert pooled.rows == serial.rows and len(made) == 1
 
+    def test_pool_bounded_by_reps_and_cores(self, monkeypatch):
+        made = []
+
+        class Recorded:
+            """Runs the tasks in this process and starts none."""
+
+            def __init__(self, max_workers):
+                made.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return None
+
+            def map(self, fn, tasks, chunksize=1):
+                return map(fn, tasks)
+
+        monkeypatch.setattr(simulate, "ProcessPoolExecutor", Recorded)
+        monkeypatch.setattr(simulate, "cores", lambda: 4)
+        designs = [design("ex3", 40, 0.0)]
+        serial = power_experiment(designs, reps=3, mc_reps=20, alpha=0.05, seed=12, workers=1)
+        assert made == []
+        for workers, reps, procs in [(100_000, 3, 3), (100_000, 8, 4), (2, 8, 2), (3, 1, 1)]:
+            made.clear()
+            table = power_experiment(designs, reps=reps, mc_reps=20, alpha=0.05, seed=12,
+                                     workers=workers)
+            assert made == ([procs] if procs > 1 else [])
+            assert table.rows[0].reps == reps
+        assert power_experiment(designs, reps=3, mc_reps=20, alpha=0.05, seed=12,
+                                workers=100_000).rows == serial.rows
+        # memory is charged for the processes pooled, not the workers asked for
+        per_replicate = 8 * (4 * 40 * 10 + 20)
+        monkeypatch.setattr(lackfit, "_memory_bytes", lambda: 3 * per_replicate)
+        assert simulate._check_experiment(designs, 3, 20, 0.05, 12, 100_000) == 3
+        with pytest.raises(DataError, match=r"^replicates of ex3 at n=40 on 4 worker\(s\)"):
+            simulate._check_experiment(designs, 8, 20, 0.05, 12, 100_000)
+
+    def test_settings_checked_once_per_call(self, monkeypatch):
+        calls = []
+
+        def counted(check):
+            def recorded(*args):
+                calls.append(args)
+                return check(*args)
+            return recorded
+
+        monkeypatch.setattr(simulate, "check_settings", counted(simulate.check_settings))
+        monkeypatch.setattr(lackfit, "check_settings", counted(lackfit.check_settings))
+        designs = [design("ex1", 40, 0.0), design("ex3", 40, 0.5)]
+        power_experiment(designs, reps=3, mc_reps=20, alpha=0.05, seed=12, workers=1)
+        assert calls == [(20, 0.05, 12)]
+
     def test_failing_design_named_in_log(self, caplog, monkeypatch):
         if multiprocessing.get_start_method() != "fork":
             pytest.skip("pool workers see the patched test only when forked")
+        pipeline = simulate._pipeline
 
         def failing(ds, *args, **kwargs):
             if ds.n == 41:
                 raise RuntimeError("replicate broke")
-            return run_test(ds, *args, **kwargs)
+            return pipeline(ds, *args, **kwargs)
 
-        monkeypatch.setattr(simulate, "run_test", failing)
+        monkeypatch.setattr(simulate, "_pipeline", failing)
         designs = [design("ex1", 40, 0.0), design("ex1", 41, 0.5)]
         with caplog.at_level(logging.ERROR, logger=simulate.logger.name):
             with pytest.raises(RuntimeError, match="^replicate broke$"):
@@ -316,6 +371,7 @@ class TestPowerExperiment:
 
         monkeypatch.setattr(simulate, "generate", fail)
         monkeypatch.setattr(lackfit, "_memory_bytes", lambda: 16_000_000_000)
+        monkeypatch.setattr(simulate, "cores", lambda: 2)  # the pool is bounded by the cores
         designs = [design("ex3", 100, 0.0), design("ex3", 10**11, 0.0)]
         need = 2 * 8 * (4 * 10**11 * 10 + 10)
         with caplog.at_level(logging.ERROR, logger=simulate.logger.name):
@@ -341,6 +397,7 @@ class TestPowerExperiment:
             return limit
 
         monkeypatch.setattr(lackfit, "_memory_bytes", memory)
+        monkeypatch.setattr(simulate, "cores", lambda: 2)  # the pool is bounded by the cores
         designs = [design(case, 50, 0.0), design(case, n, 0.6)]
         limit = need
         simulate._check_experiment(designs, 2, 10, 0.05, 1, workers)
